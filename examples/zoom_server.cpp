@@ -6,15 +6,15 @@
 // or fitting different screen widths). This example runs the serving
 // subsystem (src/serve/) end to end:
 //
-//   1. register a dataset once — the server owns the data, so the index
-//      cache's pointer-keyed fingerprints stay stable;
+//   1. register a dataset once — the server owns the data, and every
+//      session's query over it shares one cache fingerprint;
 //   2. open sessions (one per widget) and cut at many budgets: the first
 //      request builds the index, everything after is an O(k) cached cut —
 //      including concurrent requests, which coalesce onto one build;
 //   3. answer a whole zoom ladder with one MultiBudgetCut walk;
-//   4. update the dataset in place: the server bumps the cache generation,
-//      so the next request rebuilds over the fresh data instead of
-//      serving a stale dendrogram.
+//   4. update the dataset in place: the new contents carry a fresh
+//      identity stamp, so the next request rebuilds over the fresh data
+//      instead of serving a stale dendrogram.
 
 #include <cstdio>
 #include <thread>
@@ -108,8 +108,8 @@ int main() {
     std::printf("  %5zu rows, SSE %.4g\n", level.relation.size(), level.error);
   }
 
-  // The fleet re-uploads: same name, new readings. The in-place swap bumps
-  // the cache generation — the old index is unreachable, not stale-served.
+  // The fleet re-uploads: same name, new readings. The swapped-in data has
+  // a fresh identity — the old index is unreachable, not stale-served.
   PTA_CHECK(server.UpdateDataset("fleet", MakeFleet(8)).ok());
   watch.Restart();
   PtaRunStats fresh_stats;

@@ -7,7 +7,7 @@
 #                 -fsanitize=address,undefined and run the full suite under it
 #   --tsan        build in a separate tree (build-tsan/) with -fsanitize=thread
 #                 and run the concurrency-sensitive subset
-#                 (ctest -L 'integration|parallel|stream|query|index|advisor|serve|ql|persist')
+#                 (ctest -L 'integration|parallel|stream|query|index|advisor|serve|ql|persist|identity')
 #   --quick-bench smoke-run the benchmark sweep instead of ctest: build,
 #                 run bench/run_all --quick, and validate that every emitted
 #                 record parses as JSON (run_all itself exits non-zero when
@@ -39,7 +39,7 @@ if [[ "${1:-}" == "--asan" ]]; then
 elif [[ "${1:-}" == "--tsan" ]]; then
   build_dir=build-tsan
   cmake_args+=(-DPTA_SANITIZE_THREAD=ON)
-  ctest_args+=(-L 'integration|parallel|stream|query|index|advisor|serve|ql|persist')
+  ctest_args+=(-L 'integration|parallel|stream|query|index|advisor|serve|ql|persist|identity')
   shift
 elif [[ "${1:-}" == "--quick-bench" ]]; then
   mode=quick-bench

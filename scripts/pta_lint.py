@@ -21,6 +21,10 @@ Rules
   header-hygiene        Headers need a PTA_<PATH>_H_ include guard
                         (#ifndef/#define pair, matching the file path) and
                         must not contain `using namespace`.
+  address-key           reinterpret_cast<uintptr_t> (or std::uintptr_t).
+                        Hashing an address into a key aliases once the
+                        memory is reused and differs from run to run; key
+                        on an identity stamp (src/util/identity.h).
 
 Suppression
 -----------
@@ -49,6 +53,7 @@ RULES = (
     "float-equality",
     "bytereader-unchecked",
     "header-hygiene",
+    "address-key",
 )
 
 SOURCE_EXTENSIONS = (".h", ".cc", ".cpp")
@@ -72,6 +77,8 @@ FLOAT_EQ_RE = re.compile(
 BYTEREADER_DECL_RE = re.compile(r"\bByteReader\s+(\w+)\s*(?:\(|\{|;)")
 GUARD_TOKEN_RE = re.compile(r"#\s*(ifndef|define)\s+(\w+)")
 USING_NAMESPACE_RE = re.compile(r"\busing\s+namespace\b")
+ADDRESS_KEY_RE = re.compile(
+    r"\breinterpret_cast\s*<\s*(?:std\s*::\s*)?uintptr_t\s*>")
 
 
 class Finding:
@@ -258,11 +265,21 @@ def check_header_hygiene(path, text, findings):
             "`using namespace` in a header leaks into every includer"))
 
 
+def check_address_key(path, text, findings):
+    for m in ADDRESS_KEY_RE.finditer(text):
+        findings.append(Finding(
+            path, line_of(m.start(), text), "address-key",
+            "address cast to uintptr_t; an address aliases once its memory "
+            "is reused and is not stable across runs — key on an identity "
+            "stamp (util/identity.h) instead"))
+
+
 CHECKS = {
     "unordered-iteration": check_unordered_iteration,
     "float-equality": check_float_equality,
     "bytereader-unchecked": check_bytereader,
     "header-hygiene": check_header_hygiene,
+    "address-key": check_address_key,
 }
 
 

@@ -6,6 +6,7 @@
 namespace pta {
 
 Status TemporalRelation::Insert(std::vector<Value> values, Interval t) {
+  identity_.Reset();
   PTA_RETURN_IF_ERROR(schema_.ValidateRow(values));
   if (t.begin > t.end) {
     return Status::InvalidArgument("interval begin exceeds end");
@@ -15,6 +16,7 @@ Status TemporalRelation::Insert(std::vector<Value> values, Interval t) {
 }
 
 Status TemporalRelation::Insert(Tuple tuple) {
+  identity_.Reset();
   PTA_RETURN_IF_ERROR(schema_.ValidateRow(tuple.values()));
   if (tuple.interval().begin > tuple.interval().end) {
     return Status::InvalidArgument("interval begin exceeds end");
@@ -25,6 +27,7 @@ Status TemporalRelation::Insert(Tuple tuple) {
 
 void TemporalRelation::SortByGroupThenTime(
     const std::vector<size_t>& group_indices) {
+  identity_.Reset();
   std::stable_sort(
       tuples_.begin(), tuples_.end(),
       [&group_indices](const Tuple& a, const Tuple& b) {

@@ -9,6 +9,7 @@
 
 #include "core/schema.h"
 #include "core/tuple.h"
+#include "util/identity.h"
 #include "util/status.h"
 
 namespace pta {
@@ -24,15 +25,24 @@ class TemporalRelation {
   bool empty() const { return tuples_.empty(); }
   const Tuple& tuple(size_t i) const { return tuples_[i]; }
   const std::vector<Tuple>& tuples() const { return tuples_; }
+  /// Process-unique stamp of the current contents (util/identity.h): every
+  /// mutator below changes it, and copies never share it.
+  uint64_t identity() const { return identity_.Get(); }
 
   /// Appends a tuple after validating it against the schema.
   [[nodiscard]] Status Insert(std::vector<Value> values, Interval t);
   /// Appends a pre-built tuple after validating it against the schema.
   [[nodiscard]] Status Insert(Tuple tuple);
   /// Appends without validation; for trusted internal producers.
-  void InsertUnchecked(Tuple tuple) { tuples_.push_back(std::move(tuple)); }
+  void InsertUnchecked(Tuple tuple) {
+    identity_.Reset();
+    tuples_.push_back(std::move(tuple));
+  }
 
-  void Clear() { tuples_.clear(); }
+  void Clear() {
+    identity_.Reset();
+    tuples_.clear();
+  }
   void Reserve(size_t n) { tuples_.reserve(n); }
 
   /// Sorts tuples by their projection onto `group_indices`
@@ -56,6 +66,7 @@ class TemporalRelation {
  private:
   Schema schema_;
   std::vector<Tuple> tuples_;
+  Identity identity_;
 };
 
 /// \brief Stable group-hash partitioning of a base relation.

@@ -145,79 +145,6 @@ class Fnv64 {
   uint64_t hash_ = 14695981039346656037ULL;
 };
 
-void MixInterval(Fnv64& h, const Interval& t) {
-  h.U64(static_cast<uint64_t>(t.begin));
-  h.U64(static_cast<uint64_t>(t.end));
-}
-
-// Up to kGuardSamples deterministic row positions spread over [0, n):
-// always the two boundary rows plus evenly spaced interior rows. O(1)
-// work, but same-shaped data with stable boundary/sentinel rows and
-// different interiors still perturbs the fingerprint.
-constexpr size_t kGuardSamples = 8;
-
-template <typename MixRow>
-void MixSampledRows(size_t n, const MixRow& mix_row) {
-  if (n == 0) return;
-  size_t prev = n;  // sentinel: no row mixed yet
-  for (size_t k = 0; k < kGuardSamples; ++k) {
-    const size_t i = k * (n - 1) / (kGuardSamples - 1);
-    if (i == prev) continue;
-    mix_row(i);
-    prev = i;
-  }
-}
-
-// Cheap staleness guard for pointer-keyed cache entries: size plus a
-// deterministic row sample (boundaries + interior). A relation rebuilt at
-// the same address with other data almost surely moves one of these;
-// PtaIndexCacheClear() covers the rest.
-void MixSequentialGuard(Fnv64& h, const SequentialRelation& rel) {
-  h.U64(rel.size());
-  h.U64(rel.num_aggregates());
-  MixSampledRows(rel.size(), [&](size_t i) {
-    h.U64(static_cast<uint64_t>(static_cast<int64_t>(rel.group(i))));
-    MixInterval(h, rel.interval(i));
-    for (size_t d = 0; d < rel.num_aggregates(); ++d) h.F64(rel.value(i, d));
-  });
-}
-
-void MixValue(Fnv64& h, const Value& v) {
-  h.U64(static_cast<uint64_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt64:
-      h.U64(static_cast<uint64_t>(v.AsInt64()));
-      break;
-    case ValueType::kDouble:
-      h.F64(v.AsDoubleExact());
-      break;
-    case ValueType::kString:
-      h.Str(v.ToString());
-      break;
-  }
-}
-
-void MixTuple(Fnv64& h, const Tuple& t) {
-  MixInterval(h, t.interval());
-  for (const Value& v : t.values()) MixValue(h, v);
-}
-
-void MixRelationGuard(Fnv64& h, const TemporalRelation& rel) {
-  h.U64(rel.size());
-  const Schema& schema = rel.schema();
-  h.U64(schema.num_attributes());
-  for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    h.Str(schema.attribute(i).name);
-    h.U64(static_cast<uint64_t>(schema.attribute(i).type));
-  }
-  // Sampled tuples with their full payloads, matching MixSequentialGuard's
-  // strength: reloading same-shaped data at a reused address almost surely
-  // moves one of these.
-  MixSampledRows(rel.size(), [&](size_t i) { MixTuple(h, rel.tuples()[i]); });
-}
-
 // One build in flight per fingerprint: the first miss creates the record
 // and builds; every concurrent miss on the same fingerprint blocks on the
 // shared future instead of duplicating the work.
@@ -231,11 +158,26 @@ struct InFlightBuild {
   std::shared_future<Outcome> future;
 };
 
+// The bound input an index was built over: the address keys pinning and
+// the stale sweep, the identity tells the live entry from dead ones.
+struct CacheInput {
+  const void* address = nullptr;
+  uint64_t identity = 0;
+};
+
+CacheInput InputOf(const PtaPlan& plan) {
+  if (plan.sequential != nullptr) {
+    return {plan.sequential, plan.sequential->identity()};
+  }
+  if (plan.relation != nullptr) {
+    return {plan.relation, plan.relation->identity()};
+  }
+  return {};
+}
+
 struct CacheEntry {
   uint64_t fingerprint = 0;
-  /// The bound input address the index was built over — the key of
-  /// invalidation and pinning (not of lookup, which goes by fingerprint).
-  const void* input = nullptr;
+  CacheInput input;
   size_t bytes = 0;
   std::shared_ptr<const PtaIndex> index;
 };
@@ -253,12 +195,6 @@ struct IndexCacheState {
   /// Builds in progress, keyed by fingerprint (the coalescing map).
   std::unordered_map<uint64_t, std::shared_ptr<InFlightBuild>> inflight
       PTA_GUARDED_BY(mu);
-  /// Generation tag per bound input address; bumped by
-  /// PtaIndexCacheInvalidate and mixed into PlanFingerprint, so stale
-  /// fingerprints of mutated/reloaded data become unreachable. Entries are
-  /// kept after invalidation on purpose: resetting a freed address to
-  /// generation 0 would resurrect its old fingerprints.
-  std::unordered_map<const void*, uint64_t> generations PTA_GUARDED_BY(mu);
   /// Input addresses whose entries are exempt from budget eviction.
   std::unordered_set<const void*> pinned PTA_GUARDED_BY(mu);
   PtaIndexCacheConfig config PTA_GUARDED_BY(mu);
@@ -324,7 +260,7 @@ void EvictToBudgetLocked(IndexCacheState& state, uint64_t keep,
   auto it = state.entries.begin();
   while (over_budget() && it != state.entries.end()) {
     if ((has_keep && it->fingerprint == keep) ||
-        PinnedLocked(state, it->input)) {
+        PinnedLocked(state, it->input.address)) {
       ++it;
       continue;
     }
@@ -334,8 +270,27 @@ void EvictToBudgetLocked(IndexCacheState& state, uint64_t keep,
   }
 }
 
+// Drops the entries over `input`'s address built from other contents.
+// Identities are never reused, so no future fingerprint can reach them:
+// this is exact, and it frees a replaced input's index before its
+// successor is built.
+void SweepStaleLocked(IndexCacheState& state, const CacheInput& input)
+    PTA_REQUIRES(state.mu) {
+  for (auto it = state.entries.begin(); it != state.entries.end();) {
+    if (it->input.address == input.address &&
+        it->input.identity != input.identity) {
+      state.total_bytes -= it->bytes;
+      ++state.stats.evictions;
+      it = state.entries.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
 void InsertLocked(IndexCacheState& state, uint64_t fingerprint,
-                  const void* input, std::shared_ptr<const PtaIndex> index)
+                  const CacheInput& input,
+                  std::shared_ptr<const PtaIndex> index)
     PTA_REQUIRES(state.mu) {
   for (auto it = state.entries.begin(); it != state.entries.end(); ++it) {
     if (it->fingerprint == fingerprint) {
@@ -377,14 +332,10 @@ uint64_t PlanFingerprint(const PtaPlan& plan) {
   Fnv64 h;
   if (plan.sequential != nullptr) {
     h.U64(1);
-    h.U64(reinterpret_cast<uintptr_t>(plan.sequential));
-    h.U64(internal::IndexCacheInputGeneration(plan.sequential));
-    MixSequentialGuard(h, *plan.sequential);
+    h.U64(plan.sequential->identity());
   } else if (plan.relation != nullptr) {
     h.U64(2);
-    h.U64(reinterpret_cast<uintptr_t>(plan.relation));
-    h.U64(internal::IndexCacheInputGeneration(plan.relation));
-    MixRelationGuard(h, *plan.relation);
+    h.U64(plan.relation->identity());
   } else {
     h.U64(3);
     h.U64(plan.stream_arity);
@@ -442,34 +393,6 @@ PtaIndexCacheStats PtaIndexCacheGetStats() {
   return state.stats;
 }
 
-void PtaIndexCacheInvalidate(const void* input) {
-  IndexCacheState& state = CacheState();
-  MutexLock lock(&state.mu);
-  ++state.generations[input];
-  ++state.stats.invalidations;
-  // Drop the address's entries and forget their fingerprints: both are
-  // unreachable under the new generation, and keeping them would only
-  // occupy budget until LRU churn pushes them out. A build in flight for
-  // the old generation (started before this call) still completes and
-  // inserts a dead entry — harmless, evicted like any cold one.
-  for (auto it = state.entries.begin(); it != state.entries.end();) {
-    if (it->input == input) {
-      state.total_bytes -= it->bytes;
-      state.seen.erase(it->fingerprint);
-      for (auto o = state.seen_order.begin(); o != state.seen_order.end();
-           ++o) {
-        if (*o == it->fingerprint) {
-          state.seen_order.erase(o);
-          break;
-        }
-      }
-      it = state.entries.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void PtaIndexCachePin(const void* input, bool pinned) {
   IndexCacheState& state = CacheState();
   MutexLock lock(&state.mu);
@@ -510,18 +433,14 @@ std::shared_ptr<const PtaIndex> IndexCacheLookup(uint64_t fingerprint) {
   return LookupLocked(state, fingerprint);
 }
 
-void IndexCacheInsert(uint64_t fingerprint, const void* input,
+void IndexCacheInsert(const PtaPlan& plan,
                       std::shared_ptr<const PtaIndex> index) {
+  const uint64_t fingerprint = PlanFingerprint(plan);
+  const CacheInput input = InputOf(plan);
   IndexCacheState& state = CacheState();
   MutexLock lock(&state.mu);
+  SweepStaleLocked(state, input);
   InsertLocked(state, fingerprint, input, std::move(index));
-}
-
-uint64_t IndexCacheInputGeneration(const void* input) {
-  IndexCacheState& state = CacheState();
-  MutexLock lock(&state.mu);
-  const auto it = state.generations.find(input);
-  return it == state.generations.end() ? 0 : it->second;
 }
 
 void SetIndexCacheBuildHook(std::function<void(uint64_t)> hook) {
@@ -533,9 +452,7 @@ void SetIndexCacheBuildHook(std::function<void(uint64_t)> hook) {
 Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
     const PtaPlan& plan, PtaIndexRunStats* stats) {
   const uint64_t fingerprint = PlanFingerprint(plan);
-  const void* input_address = plan.sequential != nullptr
-                                  ? static_cast<const void*>(plan.sequential)
-                                  : static_cast<const void*>(plan.relation);
+  const CacheInput input = InputOf(plan);
   IndexCacheState& state = CacheState();
   std::shared_ptr<InFlightBuild> build;
   bool owns_build = false;
@@ -560,6 +477,7 @@ Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
       state.inflight.emplace(fingerprint, build);
       owns_build = true;
       hook = state.build_hook;
+      SweepStaleLocked(state, input);
     }
   }
 
@@ -607,7 +525,7 @@ Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
     MutexLock lock(&state.mu);
     state.inflight.erase(fingerprint);
     if (outcome.index != nullptr) {
-      InsertLocked(state, fingerprint, input_address, outcome.index);
+      InsertLocked(state, fingerprint, input, outcome.index);
     } else {
       // A failed build is not remembered; the next request retries.
       --state.stats.builds;

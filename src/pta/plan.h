@@ -232,21 +232,19 @@ struct PtaPlan {
 
 /// \brief Budget-stripped fingerprint of a plan (FNV-1a, 64-bit).
 ///
-/// Hashes what determines an index's content — the input binding (pointer,
-/// its current *generation* tag, size, and a sampled-row content guard: the
-/// boundary rows plus evenly spaced interior rows), the ItaSpec, the
-/// effective weights, and the gap-merging flag — but *not* the budget, the
-/// engine, or engine tuning that cannot change a reduction's merge order.
-/// Two plans with equal fingerprints answer every budget from the same
-/// PtaIndex; this is the key of the process-wide index cache below and of
-/// the kAuto re-budgeting upgrade.
+/// Hashes what determines an index's content — the input binding's kind
+/// and its identity stamp (TemporalRelation::identity /
+/// SequentialRelation::identity), the ItaSpec, the effective weights, and
+/// the gap-merging flag — but *not* the budget, the engine, or engine
+/// tuning that cannot change a reduction's merge order. Two plans with
+/// equal fingerprints answer every budget from the same PtaIndex; this is
+/// the key of the process-wide index cache below and of the kAuto
+/// re-budgeting upgrade.
 ///
-/// The sampled-row guard is a heuristic, not a proof: mutating a row the
-/// sample misses (or reloading same-shaped data at a reused address) leaves
-/// the fingerprint unchanged. The generation tag closes that hole — callers
-/// that mutate or replace a bound input MUST announce it with
-/// PtaIndexCacheInvalidate(input), which bumps the tag and makes every
-/// prior fingerprint of that address unreachable.
+/// The identity rule: every mutation of a bound input, and every copy or
+/// move into it, gives it a fresh, never-reused identity, so a changed
+/// input always gets a new fingerprint — whatever row changed and whether
+/// or not its address was reused. Callers announce nothing.
 uint64_t PlanFingerprint(const PtaPlan& plan);
 
 /// \brief Capacity limits of the process-wide index cache.
@@ -283,29 +281,22 @@ struct PtaIndexCacheStats {
   /// Lookups that joined another thread's in-flight build instead of
   /// duplicating it (the thundering-herd path).
   uint64_t coalesced = 0;
-  /// Entries dropped by the entry or byte budget.
+  /// Entries dropped by the entry or byte budget, or swept because their
+  /// input's address now holds other contents.
   uint64_t evictions = 0;
-  /// PtaIndexCacheInvalidate calls (generation bumps).
-  uint64_t invalidations = 0;
 };
 PtaIndexCacheStats PtaIndexCacheGetStats();
 
-/// Announces that the data behind `input` (a TemporalRelation* or
-/// SequentialRelation* previously bound to a plan) changed or is about to
-/// be freed: bumps the address's generation tag — so every fingerprint
-/// computed before is unreachable — and drops the address's cached indexes
-/// and re-execution fingerprints. This is the invalidation contract that
-/// makes the pointer-keyed cache safe: mutate, then invalidate, then query.
-void PtaIndexCacheInvalidate(const void* input);
-
-/// Pins (or unpins) every cache entry built over `input`: pinned entries
-/// are exempt from entry- and byte-budget eviction (explicit invalidation
-/// and Clear still drop them). Serving layers pin their hot datasets.
+/// Pins (or unpins) every cache entry built over the input at address
+/// `input` (a TemporalRelation* or SequentialRelation*): pinned entries
+/// are exempt from entry- and byte-budget eviction. Clear still drops
+/// them, and so does a miss over the same address with other contents,
+/// so a replaced input's index is not kept. Serving layers pin their hot
+/// datasets.
 void PtaIndexCachePin(const void* input, bool pinned);
 
-/// Drops every cached index and all re-execution fingerprints. Generation
-/// tags and pins survive — clearing frees memory, it does not reset the
-/// invalidation history an address has accumulated.
+/// Drops every cached index and all re-execution fingerprints. Pins
+/// survive.
 void PtaIndexCacheClear();
 
 class PtaIndex;  // pta/index.h
@@ -320,18 +311,19 @@ bool IndexCacheSawFingerprint(uint64_t fingerprint);
 void IndexCacheNoteFingerprint(uint64_t fingerprint);
 /// The cached index for the fingerprint, or nullptr.
 std::shared_ptr<const PtaIndex> IndexCacheLookup(uint64_t fingerprint);
-/// Inserts a built index over the plan input `input` (LRU-evicting beyond
-/// the configured budgets; `input` keys invalidation and pinning).
-void IndexCacheInsert(uint64_t fingerprint, const void* input,
+/// Inserts an index answering `plan` under its fingerprint and notes the
+/// fingerprint (LRU-evicting beyond the configured budgets, after sweeping
+/// the entries over the same input address with other contents).
+void IndexCacheInsert(const PtaPlan& plan,
                       std::shared_ptr<const PtaIndex> index);
-/// Current generation tag of a bound input address (0 until invalidated).
-uint64_t IndexCacheInputGeneration(const void* input);
 /// The coalesced miss path: returns the cached index for the plan's
 /// fingerprint, joining an in-flight build when one exists, and otherwise
 /// builds exactly once — concurrent misses on one fingerprint trigger a
 /// single PtaIndex construction; the others block on its shared future.
-/// On success the index is inserted and the fingerprint noted. `stats`
-/// (optional) reports cache_hit / coalesced / build_seconds.
+/// A build first sweeps the entries over the same input address with
+/// other contents. On success the index is inserted and the fingerprint
+/// noted. `stats` (optional) reports cache_hit / coalesced /
+/// build_seconds.
 [[nodiscard]] Result<std::shared_ptr<const PtaIndex>> IndexCacheGetOrBuild(
     const PtaPlan& plan, PtaIndexRunStats* stats);
 /// Test hook, invoked once per actual index construction with the build's

@@ -15,6 +15,7 @@ SequentialRelation::SequentialRelation(size_t num_aggregates,
 
 void SequentialRelation::Append(int32_t group, Interval t,
                                 const double* values) {
+  identity_.Reset();
   groups_.push_back(group);
   intervals_.push_back(t);
   values_.insert(values_.end(), values, values + p_);
@@ -22,7 +23,7 @@ void SequentialRelation::Append(int32_t group, Interval t,
 
 void SequentialRelation::Append(const Segment& seg) {
   PTA_CHECK_MSG(seg.values.size() == p_, "segment arity mismatch");
-  Append(seg.group, seg.t, seg.values.data());
+  Append(seg.group, seg.t, seg.values.data());  // resets the identity
 }
 
 void SequentialRelation::AdoptColumns(std::vector<int32_t> groups,
@@ -33,6 +34,7 @@ void SequentialRelation::AdoptColumns(std::vector<int32_t> groups,
                 "column lengths must agree");
   PTA_CHECK_MSG(values.size() == groups.size() * p_,
                 "value column must hold p doubles per row");
+  identity_.Reset();
   groups_ = std::move(groups);
   intervals_ = std::move(intervals);
   values_ = std::move(values);
@@ -41,6 +43,7 @@ void SequentialRelation::AdoptColumns(std::vector<int32_t> groups,
 void SequentialRelation::SetValueNames(std::vector<std::string> names) {
   PTA_CHECK_MSG(names.empty() || names.size() == p_,
                 "value_names arity must match num_aggregates");
+  identity_.Reset();
   value_names_ = std::move(names);
 }
 

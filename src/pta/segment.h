@@ -17,6 +17,7 @@
 #include "core/interval.h"
 #include "core/relation.h"
 #include "core/value.h"
+#include "util/identity.h"
 #include "util/status.h"
 
 namespace pta {
@@ -52,6 +53,9 @@ class SequentialRelation {
   bool empty() const { return intervals_.empty(); }
   /// Number of aggregate values per segment (the paper's p).
   size_t num_aggregates() const { return p_; }
+  /// Process-unique stamp of the current contents (util/identity.h): every
+  /// mutator below changes it, and copies never share it.
+  uint64_t identity() const { return identity_.Get(); }
 
   int32_t group(size_t i) const { return groups_[i]; }
   const Interval& interval(size_t i) const { return intervals_[i]; }
@@ -89,7 +93,10 @@ class SequentialRelation {
 
   /// Optional metadata: the group key behind each dense group id, and names
   /// of the aggregate value columns.
-  void SetGroupKeys(std::vector<GroupKey> keys) { group_keys_ = std::move(keys); }
+  void SetGroupKeys(std::vector<GroupKey> keys) {
+    identity_.Reset();
+    group_keys_ = std::move(keys);
+  }
   const std::vector<GroupKey>& group_keys() const { return group_keys_; }
   void SetValueNames(std::vector<std::string> names);
   const std::vector<std::string>& value_names() const { return value_names_; }
@@ -122,6 +129,7 @@ class SequentialRelation {
   std::vector<double> values_;  // row-major, size() * p_
   std::vector<GroupKey> group_keys_;
   std::vector<std::string> value_names_;
+  Identity identity_;
 };
 
 /// \brief Pull-based producer of segments in group-then-time order.

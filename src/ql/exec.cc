@@ -225,11 +225,6 @@ Result<SequentialRelation> RunBatch(pta::Engine engine,
   }
   PtaRunStats run_stats;
   auto result = pq.Run(&run_stats);
-  if (run_stats.engine == pta::Engine::kIndexed) {
-    // The executor's ITA relation dies with this call; drop the index the
-    // run cached under its address before the pointer can be reused.
-    PtaIndexCacheInvalidate(&ita);
-  }
   PTA_RETURN_IF_ERROR(result.status());
   stats->engine = run_stats.engine;
   stats->error = result->error;
@@ -240,8 +235,9 @@ Result<SequentialRelation> RunBatch(pta::Engine engine,
 // size for every engine — the resolution depends only on the query text
 // and the catalog, like everything else in PTA-QL. The probe plan's
 // fingerprint is budget-stripped, so the index built here is the same
-// cache entry a kIndexed run of this query reuses; Execute invalidates it
-// once the query is done (the ITA relation dies with the call).
+// cache entry a kIndexed run of this query reuses. Once the ITA relation
+// dies with the call, the entry is dead (no later relation shares its
+// identity) and ages out of the cache.
 Result<size_t> ResolveAutoBudget(const Query& query,
                                  const SequentialRelation& ita) {
   PtaQuery probe = PtaQuery::OverSequential(ita).Budget(pta::Budget::Size(1));
@@ -356,7 +352,6 @@ Result<ExecResult> Execute(const Query& query, const Catalog& catalog,
         engine == pta::Engine::kAuto ? pta::Engine::kExactDp : engine;
   } else {
     pta::Budget budget = pta::Budget::Size(1);
-    bool advised = false;
     switch (query.budget.kind) {
       case BudgetClause::Kind::kSize:
         budget = pta::Budget::Size(query.budget.size);
@@ -374,7 +369,6 @@ Result<ExecResult> Execute(const Query& query, const Catalog& catalog,
         }
         budget = pta::Budget::Size(*resolved);
         out.stats.advised_budget = *resolved;
-        advised = true;
         break;
       }
     }
@@ -382,12 +376,6 @@ Result<ExecResult> Execute(const Query& query, const Catalog& catalog,
         engine == pta::Engine::kStreaming
             ? RunStreaming(query, *ita, options, &out.stats)
             : RunBatch(engine, budget, *ita, options, &out.stats);
-    if (advised) {
-      // The advisor cached an index under the executor-local ITA's
-      // address; drop it before the relation dies (RunBatch only does so
-      // for its own kIndexed runs).
-      PtaIndexCacheInvalidate(&*ita);
-    }
     if (!reduced.ok()) {
       // Engine-level usage errors (e.g. "size bound c is below cmin") are
       // data-dependent and only surface at run time; anchor them at the

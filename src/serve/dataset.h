@@ -24,8 +24,9 @@ namespace serve_internal {
 /// \brief One served dataset: name, reader/writer lock, and the data.
 ///
 /// The served data lives inside optionals so its address — the key of the
-/// index cache's fingerprints, pins, and generation tags — is stable for
-/// the dataset's whole lifetime, across in-place updates. Exactly one of
+/// index cache's pins and of its sweep of replaced indexes (fingerprints
+/// go by the data's identity stamp) — is stable for the dataset's whole
+/// lifetime, across in-place updates. Exactly one of
 /// the two optionals is engaged, fixed at registration; *which* one is
 /// engaged never changes, only the contained value does (that immutable
 /// engagement is what lets address() run lock-free below).

@@ -155,11 +155,9 @@ Status PtaServer::UpdateDataset(const std::string& name,
     return Status::InvalidArgument(
         "dataset is sequential; update it with a SequentialRelation");
   }
+  // The assignment gives the served relation a fresh identity, so every
+  // index built over the old data is unreachable; the next miss frees it.
   *dataset->relation = std::move(data);
-  // Same address, new contents: bump the generation so every index built
-  // over the old data is unreachable. This runs under the exclusive lock,
-  // so a query can never fingerprint new data against an old generation.
-  PtaIndexCacheInvalidate(dataset->address());
   return Status::Ok();
 }
 
@@ -173,7 +171,6 @@ Status PtaServer::UpdateDataset(const std::string& name,
         "dataset is temporal; update it with a TemporalRelation");
   }
   *dataset->sequential = std::move(data);
-  PtaIndexCacheInvalidate(dataset->address());
   return Status::Ok();
 }
 
@@ -188,12 +185,9 @@ Status PtaServer::DropDataset(const std::string& name) {
     dataset = std::move(it->second);
     datasets_.erase(it);
   }
-  // The address may be freed (and reused) once the last session releases
-  // the dataset; invalidating here makes every old fingerprint of it
-  // unreachable first, and the unpin stops exempting dead entries.
-  WriterMutexLock lock(&dataset->mu);
+  // Open sessions keep serving the cached index; unpinned, it ages out of
+  // the cache like any cold entry once they stop.
   PtaIndexCachePin(dataset->address(), false);
-  PtaIndexCacheInvalidate(dataset->address());
   return Status::Ok();
 }
 
@@ -258,8 +252,7 @@ Result<PtaSession> PtaServer::WarmStart(const std::string& name,
   }
   const std::vector<double> weights = loaded->weights();
 
-  // Register the recorded input as the served data; the dataset's stable
-  // address is what the cache keys fingerprints and generations by.
+  // Register the recorded input as the served data.
   PTA_RETURN_IF_ERROR(AddDataset(name, SequentialRelation(loaded->input())));
   auto handle = Find(name);
   PtaSession session(this, std::move(handle), ItaSpec{}, weights);
@@ -269,16 +262,10 @@ Result<PtaSession> PtaServer::WarmStart(const std::string& name,
     ReaderMutexLock lock(&session.dataset_->mu);
     auto plan = session.MakeQuery().Budget(Budget::Size(1)).Plan();
     if (plan.ok()) {
-      // Seed the cache under the fingerprint a session query computes
-      // *now* — PlanFingerprint reads the address's current generation
-      // tag, so the warmed entry obeys the same invalidation contract as
-      // a built one, and noting the fingerprint keeps kAuto's re-budget
-      // routing consistent.
-      const uint64_t fingerprint = PlanFingerprint(*plan);
+      // Seed the cache under the fingerprint every session query of this
+      // data computes, exactly as a build would.
       internal::IndexCacheInsert(
-          fingerprint, session.dataset_->address(),
-          std::make_shared<const PtaIndex>(std::move(*loaded)));
-      internal::IndexCacheNoteFingerprint(fingerprint);
+          *plan, std::make_shared<const PtaIndex>(std::move(*loaded)));
       return session;
     }
     failure = plan.status();

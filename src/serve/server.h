@@ -12,8 +12,8 @@
 //     coalesces them onto ONE PtaIndex build (pta/plan.h,
 //     internal::IndexCacheGetOrBuild); the rest block on a shared future;
 //   * datasets change → UpdateDataset swaps the data in place under an
-//     exclusive lock and bumps the input's generation tag
-//     (PtaIndexCacheInvalidate), so no stale dendrogram can be served;
+//     exclusive lock; the swap gives the data a fresh identity stamp
+//     (util/identity.h), so no stale dendrogram can be served;
 //   * memory is bounded → the cache's entry/byte budgets evict cold
 //     indexes; PinDataset exempts the hot ones;
 //   * load is bounded → async requests pass an admission check against a
@@ -111,7 +111,7 @@ class PtaSession {
   PtaSession() = default;
 
   /// Answers one budget, synchronously on the calling thread. The
-  /// re-budgeting idiom: the first request (per dataset generation) builds
+  /// re-budgeting idiom: the first request (per dataset version) builds
   /// the index, every further budget is an O(k) frontier cut.
   [[nodiscard]] Result<PtaResult> Cut(Budget budget,
                                       PtaRunStats* stats = nullptr) const;
@@ -130,7 +130,7 @@ class PtaSession {
   /// Runs the granularity advisor (advisor/advisor.h) against the
   /// session's shared index: builds — or fetches — the cached PtaIndex
   /// under the dataset's shared lock, then walks its recorded error curve.
-  /// Like Cut, the first call per dataset generation pays the build; every
+  /// Like Cut, the first call per dataset version pays the build; every
   /// further recommendation is O(k log k). Holdout criteria materialize
   /// candidate cuts, so their callback runs under the shared lock too.
   [[nodiscard]] Result<advisor::Advice> Advise(
@@ -158,10 +158,9 @@ class PtaSession {
 
 /// \brief Long-lived owner of shared datasets and a request worker pool.
 ///
-/// Register datasets once (the server owns the data, so the cache's
-/// pointer-keyed fingerprints stay stable), open sessions against them,
-/// and route mutations through UpdateDataset so the index cache's
-/// invalidation contract is upheld automatically.
+/// Register datasets once, open sessions against them, and route
+/// mutations through UpdateDataset, which excludes concurrent cuts for the
+/// swap's duration.
 class PtaServer {
  public:
   explicit PtaServer(ServeOptions options = {});
@@ -177,25 +176,26 @@ class PtaServer {
   /// Registers an already-aggregated sequential relation (ITA skipped).
   [[nodiscard]] Status AddDataset(std::string name, SequentialRelation data);
 
-  /// Replaces a dataset's contents in place — same address, new data —
-  /// excluding concurrent queries for the swap's duration, then bumps the
-  /// input's cache generation so every previously built index for it is
-  /// unreachable. The input kind must match the registration
-  /// (temporal/sequential). Open sessions keep working and rebuild the
-  /// index on their next request.
+  /// Replaces a dataset's contents in place, excluding concurrent queries
+  /// for the swap's duration. The new contents carry a fresh identity, so
+  /// every previously built index for the dataset is unreachable; the next
+  /// request's build first frees it. The input kind must match the
+  /// registration (temporal/sequential). Open sessions keep working and
+  /// rebuild the index on their next request.
   [[nodiscard]] Status UpdateDataset(const std::string& name,
                                      TemporalRelation data);
   [[nodiscard]] Status UpdateDataset(const std::string& name,
                                      SequentialRelation data);
 
-  /// Unregisters a dataset: invalidates its cache entries, removes the pin,
-  /// and forgets the name. Sessions already open keep shared ownership of
-  /// the data and continue to work; new OpenSession calls fail NotFound.
+  /// Unregisters a dataset: removes the pin and forgets the name. Sessions
+  /// already open keep shared ownership of the data and keep cutting the
+  /// cached index; new OpenSession calls fail NotFound. The unpinned
+  /// entries age out of the cache like any cold ones.
   [[nodiscard]] Status DropDataset(const std::string& name);
 
   /// Pins (or unpins) the dataset's cache entries: pinned indexes are
   /// exempt from the cache's entry/byte eviction — the hot-set contract of
-  /// a serving process. Invalidation still drops them.
+  /// a serving process. An update's next build still drops the old ones.
   [[nodiscard]] Status PinDataset(const std::string& name, bool pinned);
 
   /// Opens a session: validates the spec against the dataset eagerly (so
@@ -217,11 +217,10 @@ class PtaServer {
   /// The warm-start path: loads a persisted index from `path`, registers
   /// its recorded input as a new sequential dataset under `name`, seeds
   /// the process-wide plan cache with the loaded index under the
-  /// dataset's *current* generation tag, and returns an open session —
-  /// whose first Cut at any budget is an O(k) frontier walk, no rebuild.
-  /// The subsequent lifecycle is unchanged: UpdateDataset bumps the
-  /// generation and the warmed index becomes unreachable like any other
-  /// cache entry. Fails InvalidArgument on malformed index bytes, on a
+  /// fingerprint a session computes over that data, and returns an open
+  /// session — whose first Cut at any budget is an O(k) frontier walk, no
+  /// rebuild. The subsequent lifecycle is unchanged: after UpdateDataset
+  /// the warmed index is unreachable like any other cache entry. Fails InvalidArgument on malformed index bytes, on a
   /// duplicate name, or on a gap-merging index (serve sessions never use
   /// merge_across_gaps, so such an index could never be served).
   [[nodiscard]] Result<PtaSession> WarmStart(const std::string& name,

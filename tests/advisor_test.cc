@@ -570,9 +570,6 @@ TEST(BudgetAutoTest, RebudgetsThroughThePlanCache) {
   auto eps_cut = index.CutToError(0.1);
   ASSERT_TRUE(eps_cut.ok());
   ExpectByteIdentical(eps_result->relation, eps_cut->relation);
-
-  // The local input's cache entries must not dangle past the test.
-  PtaIndexCacheInvalidate(&rel);
 }
 
 TEST(BudgetAutoTest, RejectsStreamSources) {

@@ -20,6 +20,7 @@ BAD_FIXTURES = (
     "bad_bytereader.cc",
     "bad_header.h",
     "bad_suppression.cc",
+    "bad_address_key.cc",
 )
 CLEAN_FIXTURES = ("clean.cc", "clean.h")
 

@@ -1,7 +1,8 @@
 // The hardened process-wide PtaIndex plan cache (pta/plan.h):
-//  * the stale-alias regression — mutating a bound input in a row the
-//    sampled fingerprint guard misses must be correctable through the
-//    explicit invalidation API (generation tags);
+//  * the stale-alias regression — mutating a bound input in any row, or
+//    reusing its address for other data, changes its identity stamp and
+//    so the fingerprint, with nothing announced; the superseded index is
+//    swept, not leaked;
 //  * thundering-herd coalescing — N concurrent misses on one fingerprint
 //    trigger exactly one PtaIndex build, the rest join its shared future;
 //  * the FIFO fingerprint-memory boundary — a fingerprint whose index is
@@ -26,6 +27,7 @@
 #include "pta/greedy.h"
 #include "pta/index.h"
 #include "pta/query.h"
+#include "ql/exec.h"
 #include "test_util.h"
 
 namespace pta {
@@ -34,7 +36,7 @@ namespace {
 using testing::ExpectByteIdentical;
 
 // A deterministic single-group gap-free sequential relation whose values
-// we control row by row (so a mutation can dodge the fingerprint sample).
+// we control row by row (so a mutation can target one interior row).
 SequentialRelation MakeRamp(size_t n, size_t mutated_row = SIZE_MAX,
                             double mutated_value = 0.0) {
   SequentialRelation rel(1, {"V"});
@@ -54,13 +56,12 @@ PtaQuery IndexedQuery(const SequentialRelation& rel, size_t c) {
       .Engine(Engine::kIndexed);
 }
 
-// ---- satellite 1: the stale-alias hole and its closure -----------------
+// ---- satellite 1: stale aliases are unreachable ------------------------
 
-TEST(PlanCacheStaleAliasTest, InvalidateServesFreshDataAfterUnsampledEdit) {
+TEST(PlanCacheStaleAliasTest, UnannouncedInteriorEditMissesAndServesFreshData) {
   PtaIndexCacheClear();
-  // n = 64 puts the 8-point sample grid at rows 0, 9, 18, ..., 63; row 30
-  // falls between sample points, so an edit there is invisible to the
-  // content guard.
+  // n = 64 and row 30: an edit between the boundary rows, which a sampled
+  // content guard would not see.
   SequentialRelation rel = MakeRamp(64);
   const PtaQuery query = IndexedQuery(rel, 8);
   auto plan_before = query.Plan();
@@ -69,24 +70,13 @@ TEST(PlanCacheStaleAliasTest, InvalidateServesFreshDataAfterUnsampledEdit) {
   ASSERT_TRUE(query.Run().ok());
   EXPECT_EQ(PtaIndexCacheSize(), 1u);
 
-  // Mutate row 30 in place: same object (same address), new contents. The
-  // outlier value reshapes the greedy merge order, so a stale index would
-  // serve visibly wrong bytes.
+  // Mutate row 30 in place: same object (same address), new contents, and
+  // no announcement. The outlier value reshapes the greedy merge order, so
+  // a stale index would serve visibly wrong bytes.
   rel = MakeRamp(64, /*mutated_row=*/30, /*mutated_value=*/500.0);
   auto plan_after = query.Plan();
   ASSERT_TRUE(plan_after.ok());
-  // The sampled guard alone cannot see the edit — this is the hole.
-  EXPECT_EQ(PlanFingerprint(*plan_after), fp_before);
-  PtaRunStats stale;
-  ASSERT_TRUE(query.Run(&stale).ok());
-  EXPECT_TRUE(stale.indexed.cache_hit);
-
-  // The contract: announce the mutation, and the old fingerprint becomes
-  // unreachable — the next run rebuilds over the new data.
-  PtaIndexCacheInvalidate(&rel);
-  auto plan_fresh = query.Plan();
-  ASSERT_TRUE(plan_fresh.ok());
-  EXPECT_NE(PlanFingerprint(*plan_fresh), fp_before);
+  EXPECT_NE(PlanFingerprint(*plan_after), fp_before);
   PtaRunStats fresh;
   const auto result = query.Run(&fresh);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -98,24 +88,91 @@ TEST(PlanCacheStaleAliasTest, InvalidateServesFreshDataAfterUnsampledEdit) {
   PtaIndexCacheClear();
 }
 
-TEST(PlanCacheInvalidateTest, DropsEntriesFingerprintsAndBumpsStats) {
-  PtaIndexCacheClear();
-  SequentialRelation rel = MakeRamp(64);
-  const PtaQuery query = IndexedQuery(rel, 8);
-  ASSERT_TRUE(query.Run().ok());
-  auto plan = query.Plan();
-  ASSERT_TRUE(plan.ok());
-  const uint64_t fp = PlanFingerprint(*plan);
-  ASSERT_TRUE(internal::IndexCacheSawFingerprint(fp));
-  ASSERT_EQ(PtaIndexCacheSize(), 1u);
+TEST(PlanCacheSweepTest, RebuildAtTheSameAddressDropsTheSupersededIndex) {
+  for (const bool pinned : {false, true}) {
+    SCOPED_TRACE(pinned ? "pinned" : "unpinned");
+    PtaIndexCacheClear();
+    SequentialRelation rel = MakeRamp(64);
+    PtaIndexCachePin(&rel, pinned);
+    const PtaQuery query = IndexedQuery(rel, 8);
+    ASSERT_TRUE(query.Run().ok());
+    ASSERT_EQ(PtaIndexCacheSize(), 1u);
 
-  const auto before = PtaIndexCacheGetStats();
-  PtaIndexCacheInvalidate(&rel);
-  const auto after = PtaIndexCacheGetStats();
-  EXPECT_EQ(after.invalidations, before.invalidations + 1);
-  EXPECT_EQ(PtaIndexCacheSize(), 0u);
-  EXPECT_EQ(PtaIndexCacheBytes(), 0u);
-  EXPECT_FALSE(internal::IndexCacheSawFingerprint(fp));
+    const auto before = PtaIndexCacheGetStats();
+    rel = MakeRamp(64, /*mutated_row=*/30, /*mutated_value=*/500.0);
+    ASSERT_TRUE(query.Run().ok());
+    // Exactly the new index remains: the old one was swept on the miss,
+    // pinned or not, and counted as an eviction.
+    EXPECT_EQ(PtaIndexCacheSize(), 1u);
+    auto index = PtaIndex::Build(rel);
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ(PtaIndexCacheBytes(), index->MemoryFootprint());
+    EXPECT_EQ(PtaIndexCacheGetStats().evictions, before.evictions + 1);
+    PtaIndexCachePin(&rel, false);
+  }
+  PtaIndexCacheClear();
+}
+
+// ---- address reuse: one slot, many relations ----------------------------
+
+TEST(PlanCacheAddressReuseTest, ReemplacedSlotServesEachRelationsOwnAnswer) {
+  PtaIndexCacheClear();
+  // One storage slot re-emplaced with ramps that differ only at row 30:
+  // every relation lives at the same address, and nothing is cleared or
+  // announced between runs.
+  std::optional<SequentialRelation> slot;
+  for (int version = 0; version < 5; ++version) {
+    SCOPED_TRACE(version);
+    slot.emplace(MakeRamp(64, /*mutated_row=*/30,
+                          /*mutated_value=*/100.0 * version));
+    PtaRunStats stats;
+    const auto result = IndexedQuery(*slot, 8).Run(&stats);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_FALSE(stats.indexed.cache_hit);
+    auto gms = GmsReduceToSize(*slot, 8);
+    ASSERT_TRUE(gms.ok());
+    ExpectByteIdentical(result->relation, gms->relation);
+    EXPECT_EQ(result->error, gms->error);
+  }
+  EXPECT_EQ(PtaIndexCacheSize(), 1u);
+  PtaIndexCacheClear();
+}
+
+// The same reuse through PTA-QL: consecutive statements over catalog
+// relations that differ in one interior row put their ITA results at the
+// same executor-local address. Each indexed BUDGET AUTO run must match
+// its own pinned-identity greedy answer.
+TEST(PlanCacheAddressReuseTest, ConsecutiveQlStatementsServeTheirOwnData) {
+  PtaIndexCacheClear();
+  const auto make_relation = [](double row30) {
+    TemporalRelation rel{Schema({{"G", ValueType::kString},
+                                 {"V", ValueType::kDouble}})};
+    for (int i = 0; i < 64; ++i) {
+      const double v = i == 30 ? row30 : static_cast<double>((i * 13) % 29);
+      PTA_CHECK(rel.Insert({"g", v}, Interval(i, i)).ok());
+    }
+    return rel;
+  };
+  const std::string statement =
+      "SELECT AVG(V) FROM r GROUP BY G BUDGET AUTO USING ENGINE indexed";
+  for (const double row30 : {4.0, 500.0, -250.0, 4.0}) {
+    SCOPED_TRACE(row30);
+    const TemporalRelation rel = make_relation(row30);
+    ql::Catalog catalog;
+    catalog.Register("r", &rel);
+    auto indexed = ql::ParseAndExecute(statement, catalog);
+    ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+    EXPECT_EQ(indexed->stats.engine, Engine::kIndexed);
+
+    ql::ExecOptions greedy;
+    greedy.force_engine = Engine::kGreedy;
+    greedy.pin_identity = true;
+    auto reference = ql::ParseAndExecute(statement, catalog, greedy);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(indexed->stats.advised_budget, reference->stats.advised_budget);
+    ExpectByteIdentical(indexed->relation, reference->relation);
+    EXPECT_EQ(indexed->stats.error, reference->stats.error);
+  }
   PtaIndexCacheClear();
 }
 

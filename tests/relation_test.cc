@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "test_util.h"
 
 namespace pta {
@@ -77,6 +79,64 @@ TEST(TupleTest, ValueEquivalenceIgnoresTimestamp) {
   const Tuple c({Value("y"), Value(1.0)}, Interval(1, 2));
   EXPECT_TRUE(a.ValueEquivalent(b));
   EXPECT_FALSE(a.ValueEquivalent(c));
+}
+
+// ---- identity stamps (util/identity.h) ---------------------------------
+
+struct TemporalMutator {
+  const char* name;
+  std::function<void(TemporalRelation&)> apply;
+};
+
+TEST(RelationIdentityTest, EveryMutatorChangesTheIdentity) {
+  const std::vector<TemporalMutator> mutators = {
+      {"Insert(values, t)",
+       [](TemporalRelation& r) {
+         ASSERT_TRUE(r.Insert({"Eve", "C", 100.0}, Interval(2, 3)).ok());
+       }},
+      {"Insert(tuple)",
+       [](TemporalRelation& r) {
+         ASSERT_TRUE(
+             r.Insert(Tuple({"Eve", "C", 100.0}, Interval(2, 3))).ok());
+       }},
+      {"InsertUnchecked",
+       [](TemporalRelation& r) {
+         r.InsertUnchecked(Tuple({"Eve", "C", 100.0}, Interval(2, 3)));
+       }},
+      {"Clear", [](TemporalRelation& r) { r.Clear(); }},
+      {"SortByGroupThenTime",
+       [](TemporalRelation& r) { r.SortByGroupThenTime({1}); }},
+  };
+  for (const TemporalMutator& mutator : mutators) {
+    SCOPED_TRACE(mutator.name);
+    TemporalRelation rel = MakeProjRelation();
+    const uint64_t before = rel.identity();
+    mutator.apply(rel);
+    EXPECT_NE(rel.identity(), before);
+  }
+}
+
+TEST(RelationIdentityTest, ConstCallsAndReserveKeepTheIdentity) {
+  TemporalRelation rel = MakeProjRelation();
+  const uint64_t id = rel.identity();
+  EXPECT_EQ(rel.identity(), id);
+  rel.Reserve(64);
+  EXPECT_FALSE(rel.IsSequential({1}));
+  EXPECT_TRUE(rel.TimeSpan().ok());
+  EXPECT_TRUE(rel.SameTuples(rel));
+  EXPECT_FALSE(rel.ToString().empty());
+  EXPECT_EQ(rel.identity(), id);
+}
+
+TEST(RelationIdentityTest, CopiesAndMovesNeverShareAnIdentity) {
+  testing::ExpectCopiesAndMovesGetFreshIdentities(MakeProjRelation());
+}
+
+TEST(RelationIdentityTest, ConcurrentFirstReadsAgree) {
+  TemporalRelation rel = MakeProjRelation();
+  testing::ExpectConcurrentFirstReadsAgree(rel, [](TemporalRelation& r) {
+    r.InsertUnchecked(Tuple({"Eve", "C", 100.0}, Interval(2, 3)));
+  });
 }
 
 }  // namespace

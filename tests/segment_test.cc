@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "test_util.h"
 
 namespace pta {
@@ -122,6 +124,76 @@ TEST(SegmentTest, ApproxEqualsUsesTolerance) {
   b.Append(0, Interval(0, 1), &vb);
   EXPECT_TRUE(a.ApproxEquals(b, 1e-9));
   EXPECT_FALSE(a.ApproxEquals(b, 1e-15));
+}
+
+// ---- identity stamps (util/identity.h) ---------------------------------
+
+struct SequentialMutator {
+  const char* name;
+  std::function<void(SequentialRelation&)> apply;
+};
+
+TEST(SegmentIdentityTest, EveryMutatorChangesTheIdentity) {
+  const double v = 1.0;
+  const std::vector<SequentialMutator> mutators = {
+      {"Append(group, t, values)",
+       [&v](SequentialRelation& r) { r.Append(1, Interval(9, 9), &v); }},
+      {"Append(segment)",
+       [](SequentialRelation& r) {
+         r.Append(Segment{1, Interval(9, 9), {1.0}});
+       }},
+      {"AdoptColumns",
+       [](SequentialRelation& r) {
+         r = SequentialRelation(1);
+         const uint64_t empty = r.identity();
+         r.AdoptColumns({0}, {Interval(0, 0)}, {1.0});
+         EXPECT_NE(r.identity(), empty);
+       }},
+      {"SetGroupKeys",
+       [](SequentialRelation& r) {
+         r.SetGroupKeys({{Value("X")}, {Value("Y")}});
+       }},
+      {"SetValueNames",
+       [](SequentialRelation& r) { r.SetValueNames({"Renamed"}); }},
+  };
+  for (const SequentialMutator& mutator : mutators) {
+    SCOPED_TRACE(mutator.name);
+    SequentialRelation rel = MakeProjIta();
+    const uint64_t before = rel.identity();
+    mutator.apply(rel);
+    EXPECT_NE(rel.identity(), before);
+  }
+}
+
+TEST(SegmentIdentityTest, ConstCallsAndReserveKeepTheIdentity) {
+  SequentialRelation rel = MakeProjIta();
+  const uint64_t id = rel.identity();
+  EXPECT_EQ(rel.identity(), id);
+  rel.Reserve(64);
+  EXPECT_EQ(rel.CMin(), 3u);
+  EXPECT_TRUE(rel.Validate().ok());
+  EXPECT_TRUE(rel.BitwiseEquals(rel));
+  EXPECT_TRUE(rel.ApproxEquals(rel));
+  EXPECT_FALSE(rel.ToString().empty());
+  RelationSegmentSource source(rel);
+  Segment seg;
+  while (source.Next(&seg)) {
+  }
+  EXPECT_EQ(rel.identity(), id);
+}
+
+TEST(SegmentIdentityTest, CopiesAndMovesNeverShareAnIdentity) {
+  testing::ExpectCopiesAndMovesGetFreshIdentities(MakeProjIta());
+}
+
+TEST(SegmentIdentityTest, ConcurrentFirstReadsAgree) {
+  SequentialRelation rel = MakeProjIta();
+  testing::ExpectConcurrentFirstReadsAgree(rel, [](SequentialRelation& r) {
+    const double v = 1.0;
+    r.Append(1, Interval(100 + static_cast<Chronon>(r.size()),
+                         100 + static_cast<Chronon>(r.size())),
+             &v);
+  });
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The serving layer (src/serve/): PtaServer dataset lifecycle, session
 // requests (sync, async, zoom ladders), byte-identity of concurrently
-// served cuts against the single-threaded GMS reducers, the
-// update-then-invalidate contract, and admission control / shedding.
+// served cuts against the single-threaded GMS reducers, in-place updates
+// that never serve (or keep) a stale index, and admission control /
+// shedding.
 // Runs under TSan via scripts/ci.sh --tsan (label `serve`).
 
 #include "serve/server.h"
@@ -280,26 +281,30 @@ TEST(PtaServerTest, AdmissionShedsWhenQueueIsFull) {
   PtaIndexCacheClear();
 }
 
-// ---- mutation: update-then-invalidate, drop semantics ------------------
+// ---- mutation: in-place updates, drop semantics ------------------------
 
 TEST(PtaServerTest, UpdateDatasetServesFreshBytes) {
   PtaIndexCacheClear();
   PtaServer server;
   ASSERT_TRUE(server.AddDataset("seq", MakeSequential(3)).ok());
+  ASSERT_TRUE(server.PinDataset("seq", true).ok());
   auto session = server.OpenSession("seq", ItaSpec{});
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->Cut(Budget::Size(16)).ok());  // index over v1 cached
 
-  // In-place swap: same bound address, new contents, generation bumped.
+  // In-place swap: same bound address, new contents, fresh identity.
   ASSERT_TRUE(server.UpdateDataset("seq", MakeSequential(3, 7.5)).ok());
   PtaRunStats stats;
   const auto served = session->Cut(Budget::Size(16), &stats);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_FALSE(stats.indexed.cache_hit);  // the old index is unreachable
+  // ... and gone: the pinned v1 index was swept by the rebuild, not leaked.
+  EXPECT_EQ(PtaIndexCacheSize(), 1u);
   auto gms = GmsReduceToSize(MakeSequential(3, 7.5), 16);
   ASSERT_TRUE(gms.ok());
   ExpectByteIdentical(served->relation, gms->relation);
   EXPECT_EQ(served->error, gms->error);
+  ASSERT_TRUE(server.PinDataset("seq", false).ok());
   PtaIndexCacheClear();
 }
 
@@ -362,13 +367,18 @@ TEST(PtaServerTest, OpenSessionsSurviveDrop) {
   ASSERT_TRUE(server.AddDataset("seq", MakeSequential(11)).ok());
   auto session = server.OpenSession("seq", ItaSpec{});
   ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->Cut(Budget::Size(16)).ok());  // index cached
   ASSERT_TRUE(server.DropDataset("seq").ok());
-  // The session holds shared ownership of the data; its cuts still work.
-  const auto served = session->Cut(Budget::Size(16));
+  // The session holds shared ownership of the data, which did not change:
+  // its cuts still work, from the cached index.
+  PtaRunStats stats;
+  const auto served = session->Cut(Budget::Size(16), &stats);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_TRUE(stats.indexed.cache_hit);
   auto gms = GmsReduceToSize(MakeSequential(11), 16);
   ASSERT_TRUE(gms.ok());
   ExpectByteIdentical(served->relation, gms->relation);
+  EXPECT_EQ(served->error, gms->error);
   PtaIndexCacheClear();
 }
 

@@ -1,14 +1,19 @@
 // Shared fixtures and reference implementations for the test suite:
 //  * the paper's running example (the proj relation of Fig. 1);
 //  * a brute-force optimal reducer used to validate the DP algorithms;
-//  * random sequential-relation generators for property tests.
+//  * random sequential-relation generators for property tests;
+//  * the identity-stamp properties both relation types share.
 
 #ifndef PTA_TESTS_TEST_UTIL_H_
 #define PTA_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
+#include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/relation.h"
@@ -159,6 +164,59 @@ inline SequentialRelation RandomSequential(size_t n, size_t p,
   }
   rel.SetGroupKeys(std::move(keys));
   return rel;
+}
+
+/// Copies and moves of `prototype` (construction and assignment) never
+/// share an identity with their source or with each other, and copying
+/// leaves the source's identity as it was. R is TemporalRelation or
+/// SequentialRelation.
+template <typename R>
+void ExpectCopiesAndMovesGetFreshIdentities(const R& prototype) {
+  R source = prototype;
+  const uint64_t original = source.identity();
+  R copied(source);
+  R assigned;
+  assigned = source;
+  EXPECT_EQ(source.identity(), original) << "copying changed the source";
+  std::vector<uint64_t> ids = {original, copied.identity(),
+                               assigned.identity()};
+  R moved(std::move(copied));
+  R move_assigned;
+  move_assigned = std::move(assigned);
+  // Each object is read once after its last change, so equal values can
+  // only mean a shared identity.
+  ids.push_back(moved.identity());
+  ids.push_back(move_assigned.identity());
+  ids.push_back(copied.identity());    // moved-from: its contents changed
+  ids.push_back(assigned.identity());  // likewise
+  EXPECT_EQ(std::set<uint64_t>(ids.begin(), ids.end()).size(), ids.size());
+}
+
+/// Eight threads racing on the first read of an unminted identity all
+/// see one value. Each round runs `mutate` first to reset the stamp; TSan
+/// runs (scripts/ci.sh --tsan) check the CAS path for data races.
+template <typename R, typename Mutate>
+void ExpectConcurrentFirstReadsAgree(R& rel, const Mutate& mutate) {
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) {
+    mutate(rel);
+    std::vector<uint64_t> seen(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&rel, &seen, &ready, i] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        seen[i] = rel.identity();
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (int i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(seen[i], seen[0]) << "round " << round << " thread " << i;
+    }
+    EXPECT_EQ(rel.identity(), seen[0]) << "round " << round;
+  }
 }
 
 }  // namespace testing
