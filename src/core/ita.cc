@@ -1,9 +1,96 @@
 #include "core/ita.h"
 
 #include <algorithm>
-#include <map>
+#include <cmath>
+#include <limits>
+#include <numeric>
+#include <unordered_map>
 
 namespace pta {
+
+namespace {
+
+bool IsNan(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.AsDoubleExact());
+}
+
+// Value::operator< with NaN placed after every other double, so sorting
+// distinct values is well defined.
+bool RankLess(const Value& a, const Value& b) {
+  if (a.type() == b.type() && (IsNan(a) || IsNan(b))) {
+    return !IsNan(a) && IsNan(b);
+  }
+  return a < b;
+}
+
+struct ValueHasher {
+  size_t operator()(const Value& v) const {
+    return static_cast<size_t>(v.Hash());
+  }
+};
+struct ValueEq {
+  bool operator()(const Value& a, const Value& b) const {
+    return a == b || (IsNan(a) && IsNan(b));
+  }
+};
+
+// Dense group id of every row, numbered in GroupKeyLess order of the rows'
+// projections onto `attrs`, without building a key per row: each attribute
+// is coded by rank among its distinct values, and the ranks are folded in
+// attribute order into the ids of the key prefixes. Fills one key per id.
+std::vector<uint32_t> DenseGroupIds(const TemporalRelation& rel,
+                                    const std::vector<size_t>& attrs,
+                                    std::vector<GroupKey>* keys) {
+  const size_t n = rel.size();
+  std::vector<uint32_t> ids(n, 0);
+  size_t num_ids = n == 0 ? 0 : 1;
+  std::vector<uint64_t> folded(n);
+  for (size_t attr : attrs) {
+    std::unordered_map<Value, uint32_t, ValueHasher, ValueEq> codes;
+    std::vector<const Value*> distinct;
+    for (size_t i = 0; i < n; ++i) {
+      const Value& v = rel.tuple(i).value(attr);
+      auto [it, inserted] =
+          codes.try_emplace(v, static_cast<uint32_t>(distinct.size()));
+      if (inserted) distinct.push_back(&it->first);
+      folded[i] = it->second;
+    }
+    std::vector<uint32_t> order(distinct.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return RankLess(*distinct[a], *distinct[b]);
+    });
+    std::vector<uint64_t> rank(distinct.size());
+    for (size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+    for (size_t i = 0; i < n; ++i) {
+      folded[i] = ids[i] * distinct.size() + rank[folded[i]];
+    }
+    if (num_ids == 1) {  // the first attribute's ranks are the ids
+      for (size_t i = 0; i < n; ++i) ids[i] = static_cast<uint32_t>(folded[i]);
+      num_ids = distinct.size();
+      continue;
+    }
+    std::vector<uint64_t> sorted = folded;
+    std::sort(sorted.begin(), sorted.end());
+    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+    for (size_t i = 0; i < n; ++i) {
+      ids[i] = static_cast<uint32_t>(
+          std::lower_bound(sorted.begin(), sorted.end(), folded[i]) -
+          sorted.begin());
+    }
+    num_ids = sorted.size();
+  }
+  // Each group's key is its first row's projection, as a sorted map keyed
+  // by projections would keep it.
+  std::vector<size_t> first(num_ids, n);
+  for (size_t i = n; i-- > 0;) first[ids[i]] = i;
+  keys->clear();
+  keys->reserve(num_ids);
+  for (size_t row : first) keys->push_back(rel.tuple(row).Project(attrs));
+  return ids;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<ItaStream>> ItaStream::Create(
     const TemporalRelation& rel, const ItaSpec& spec) {
@@ -12,11 +99,14 @@ Result<std::unique_ptr<ItaStream>> ItaStream::Create(
   }
   auto group_indices = rel.schema().ResolveAll(spec.group_by);
   if (!group_indices.ok()) return group_indices.status();
+  if (rel.size() > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument("ITA input exceeds 2^32 rows");
+  }
 
-  std::vector<int> agg_attr_indices;
+  std::vector<int> attrs;  // -1 for count
   for (const AggregateSpec& agg : spec.aggregates) {
     if (agg.kind == AggKind::kCount) {
-      agg_attr_indices.push_back(-1);
+      attrs.push_back(-1);
       continue;
     }
     const int idx = rel.schema().IndexOf(agg.attr);
@@ -28,40 +118,57 @@ Result<std::unique_ptr<ItaStream>> ItaStream::Create(
       return Status::InvalidArgument("aggregate attribute " + agg.attr +
                                      " is not numeric");
     }
-    agg_attr_indices.push_back(idx);
+    attrs.push_back(idx);
   }
 
-  return std::unique_ptr<ItaStream>(
-      new ItaStream(&rel, std::move(*group_indices), spec.aggregates,
-                    std::move(agg_attr_indices)));
+  std::unique_ptr<ItaStream> s(new ItaStream(spec.aggregates));
+  const std::vector<uint32_t> ids =
+      DenseGroupIds(rel, *group_indices, &s->group_keys_);
+  // Counting sort of the rows by group id; rows keep relation order within
+  // a group, which fixes each group's event order below.
+  const size_t n = rel.size();
+  const size_t p = attrs.size();
+  s->group_begin_.assign(s->group_keys_.size() + 1, 0);
+  for (uint32_t id : ids) ++s->group_begin_[id + 1];
+  for (size_t g = 1; g < s->group_begin_.size(); ++g) {
+    s->group_begin_[g] += s->group_begin_[g - 1];
+  }
+  std::vector<size_t> next(s->group_begin_.begin(), s->group_begin_.end() - 1);
+  s->intervals_.resize(n);
+  s->inputs_.resize(n * p);
+  for (size_t i = 0; i < n; ++i) {
+    const Tuple& tuple = rel.tuple(i);
+    if (tuple.interval().end == std::numeric_limits<Chronon>::max()) {
+      return Status::InvalidArgument(
+          "row " + std::to_string(i) + " " + tuple.ToString() +
+          ": interval end is the largest chronon, which ITA cannot close");
+    }
+    const size_t row = next[ids[i]]++;
+    s->intervals_[row] = tuple.interval();
+    for (size_t d = 0; d < p; ++d) {
+      if (attrs[d] < 0) continue;
+      const Value& v = tuple.value(static_cast<size_t>(attrs[d]));
+      if (v.is_null() || !std::isfinite(v.ToDouble())) {
+        return Status::InvalidArgument(
+            "aggregate attribute " + spec.aggregates[d].attr + " is " +
+            (v.is_null() ? "null" : "not finite") + " in row " +
+            std::to_string(i) + " " + tuple.ToString());
+      }
+      s->inputs_[row * p + d] = v.ToDouble();
+    }
+  }
+  return s;
 }
 
-ItaStream::ItaStream(const TemporalRelation* rel,
-                     std::vector<size_t> group_indices,
-                     std::vector<AggregateSpec> aggregates,
-                     std::vector<int> aggregate_attr_indices)
-    : rel_(rel),
-      group_indices_(std::move(group_indices)),
-      aggregates_(std::move(aggregates)),
-      agg_attr_indices_(std::move(aggregate_attr_indices)) {
-  // Bucket tuple indices per group key; std::map gives the deterministic
-  // sorted group order the merging phase relies on.
-  std::map<GroupKey, std::vector<size_t>, decltype(&GroupKeyLess)> buckets(
-      &GroupKeyLess);
-  for (size_t i = 0; i < rel_->size(); ++i) {
-    buckets[rel_->tuple(i).Project(group_indices_)].push_back(i);
-  }
-  group_keys_.reserve(buckets.size());
-  group_tuples_.reserve(buckets.size());
-  for (auto& [key, idxs] : buckets) {
-    group_keys_.push_back(key);
-    group_tuples_.push_back(std::move(idxs));
-  }
+ItaStream::ItaStream(std::vector<AggregateSpec> aggregates)
+    : aggregates_(std::move(aggregates)) {
   aggregators_.reserve(aggregates_.size());
   for (const AggregateSpec& agg : aggregates_) {
     aggregators_.push_back(CreateAggregator(agg.kind));
   }
-  pending_.values.resize(aggregates_.size());
+  current_.resize(aggregates_.size());
+  pending_.resize(aggregates_.size());
+  flushed_.resize(aggregates_.size());
 }
 
 ItaStream::~ItaStream() = default;
@@ -74,22 +181,24 @@ std::vector<std::string> ItaStream::value_names() const {
 }
 
 bool ItaStream::StartNextGroup() {
-  if (current_group_ >= group_tuples_.size()) return false;
+  if (current_group_ + 1 >= group_begin_.size()) return false;
 
-  const std::vector<size_t>& tuples = group_tuples_[current_group_];
+  const size_t begin = group_begin_[current_group_];
+  const size_t end = group_begin_[current_group_ + 1];
   events_.clear();
-  events_.reserve(tuples.size() * 2);
-  for (size_t idx : tuples) {
-    const Interval& t = rel_->tuple(idx).interval();
-    events_.push_back({t.begin, /*is_start=*/true, idx});
-    events_.push_back({t.end + 1, /*is_start=*/false, idx});
+  events_.reserve((end - begin) * 2);
+  for (size_t row = begin; row < end; ++row) {
+    const Interval& t = intervals_[row];
+    const auto r = static_cast<uint32_t>(row);
+    events_.push_back({t.begin, r, /*is_start=*/true});
+    events_.push_back({t.end + 1, r, /*is_start=*/false});
   }
   // End events sort before start events at the same instant so that an
   // aggregator never simultaneously holds a tuple that ended at t-1 and one
   // that starts at t (their order is otherwise irrelevant: segments are
   // emitted before any event at the boundary applies).
   std::sort(events_.begin(), events_.end(),
-            [](const TupleEvent& a, const TupleEvent& b) {
+            [](const Event& a, const Event& b) {
               if (a.time != b.time) return a.time < b.time;
               return a.is_start < b.is_start;
             });
@@ -101,77 +210,87 @@ bool ItaStream::StartNextGroup() {
   return true;
 }
 
-void ItaStream::StepGroup(Segment* flushed, bool* has_flushed) {
-  *has_flushed = false;
+bool ItaStream::StepGroup() {
   PTA_DCHECK(group_active_);
+  bool flushed = false;
 
   // End of the current group: flush the pending coalesced segment.
   if (event_pos_ >= events_.size()) {
     if (pending_valid_) {
-      *flushed = pending_;
-      *has_flushed = true;
+      flushed_.swap(pending_);
+      flushed_t_ = pending_t_;
+      flushed_group_ = static_cast<int32_t>(current_group_);
+      flushed = true;
       pending_valid_ = false;
     }
     group_active_ = false;
     ++current_group_;
-    return;
+    return flushed;
   }
 
   const Chronon t = events_[event_pos_].time;
 
   // Emit the elementary interval [boundary_, t-1] if tuples are active.
   if (active_count_ > 0 && boundary_ < t) {
-    Segment cand;
-    cand.group = static_cast<int32_t>(current_group_);
-    cand.t = Interval(boundary_, t - 1);
-    cand.values.resize(aggregators_.size());
+    const Interval cand(boundary_, t - 1);
     for (size_t d = 0; d < aggregators_.size(); ++d) {
-      cand.values[d] = aggregators_[d]->Current();
+      current_[d] = aggregators_[d]->Current();
     }
     // Coalesce value-equivalent adjacent results (Def. 1's final step).
-    if (pending_valid_ && pending_.t.MeetsBefore(cand.t) &&
-        pending_.values == cand.values) {
-      pending_.t.end = cand.t.end;
-    } else if (pending_valid_) {
-      *flushed = pending_;
-      *has_flushed = true;
-      pending_ = std::move(cand);
+    if (pending_valid_ && pending_t_.MeetsBefore(cand) &&
+        std::equal(pending_.begin(), pending_.end(), current_.begin())) {
+      pending_t_.end = cand.end;
     } else {
-      pending_ = std::move(cand);
+      if (pending_valid_) {
+        flushed_.swap(pending_);
+        flushed_t_ = pending_t_;
+        flushed_group_ = static_cast<int32_t>(current_group_);
+        flushed = true;
+      }
+      pending_.swap(current_);
+      pending_t_ = cand;
       pending_valid_ = true;
     }
   }
 
   // Apply every event at instant t.
+  const size_t p = aggregators_.size();
   while (event_pos_ < events_.size() && events_[event_pos_].time == t) {
-    const TupleEvent& ev = events_[event_pos_];
-    const Tuple& tuple = rel_->tuple(ev.tuple_idx);
-    for (size_t d = 0; d < aggregators_.size(); ++d) {
-      const int attr = agg_attr_indices_[d];
-      const double v = attr < 0 ? 0.0 : tuple.value(attr).ToDouble();
+    const Event& ev = events_[event_pos_];
+    const double* in = inputs_.data() + static_cast<size_t>(ev.row) * p;
+    for (size_t d = 0; d < p; ++d) {
       if (ev.is_start) {
-        aggregators_[d]->Add(v);
+        aggregators_[d]->Add(in[d]);
       } else {
-        aggregators_[d]->Remove(v);
+        aggregators_[d]->Remove(in[d]);
       }
     }
     active_count_ += ev.is_start ? 1 : -1;
     ++event_pos_;
   }
   boundary_ = t;
+  return flushed;
+}
+
+bool ItaStream::NextView(SegmentView* out) {
+  while (group_active_ || StartNextGroup()) {
+    if (StepGroup()) {
+      *out = {flushed_group_, flushed_t_, flushed_.data()};
+      return true;
+    }
+  }
+  // All groups done; a pending segment was flushed by the last StepGroup
+  // call of its group.
+  return false;
 }
 
 bool ItaStream::Next(Segment* out) {
-  while (true) {
-    if (!group_active_ && !StartNextGroup()) {
-      // All groups done; a pending segment would have been flushed by the
-      // last StepGroup call of its group.
-      return false;
-    }
-    bool has_flushed = false;
-    StepGroup(out, &has_flushed);
-    if (has_flushed) return true;
-  }
+  SegmentView view;
+  if (!NextView(&view)) return false;
+  out->group = view.group;
+  out->t = view.t;
+  out->values.assign(view.values, view.values + aggregates_.size());
+  return true;
 }
 
 Result<SequentialRelation> Ita(const TemporalRelation& rel,
@@ -181,8 +300,8 @@ Result<SequentialRelation> Ita(const TemporalRelation& rel,
   ItaStream& s = **stream;
 
   SequentialRelation out(s.num_aggregates(), s.value_names());
-  Segment seg;
-  while (s.Next(&seg)) out.Append(seg);
+  SegmentView view;
+  while (s.NextView(&view)) out.Append(view.group, view.t, view.values);
   out.SetGroupKeys(s.group_keys());
   return out;
 }

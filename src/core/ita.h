@@ -34,20 +34,27 @@ struct ItaSpec {
 
 /// \brief Streaming ITA evaluation.
 ///
-/// Construction validates the spec against the relation's schema and buckets
-/// the input per group; `Next()` then runs the per-group endpoint sweep
-/// lazily, emitting each coalesced result tuple as soon as it is final.
-/// Groups are emitted in their deterministic sorted order, chronologically
-/// within each group, as the merging phase requires (Sec. 5.1).
+/// Construction validates the spec against the relation's schema and reads
+/// what the sweep needs into flat arrays, bucketed per group: every row's
+/// interval and its aggregate inputs as doubles. `Next()` then runs the
+/// per-group endpoint sweep lazily, emitting each coalesced result tuple as
+/// soon as it is final. Groups are emitted in their deterministic sorted
+/// order, chronologically within each group, as the merging phase requires
+/// (Sec. 5.1).
 class ItaStream : public SegmentSource {
  public:
-  /// The relation must outlive the stream.
+  /// Fails on a null or non-finite aggregate input and on an interval
+  /// ending at the largest chronon (the sweep's end event would overflow),
+  /// naming the row. The stream keeps no reference to the relation.
   [[nodiscard]] static Result<std::unique_ptr<ItaStream>> Create(const TemporalRelation& rel,
                                                    const ItaSpec& spec);
   ~ItaStream() override;
 
   size_t num_aggregates() const override { return aggregates_.size(); }
   bool Next(Segment* out) override;
+  /// Next() without the copy: out->values points at num_aggregates()
+  /// doubles owned by the stream, valid until the next call.
+  bool NextView(SegmentView* out);
 
   /// Group keys in dense-id order (valid immediately after construction).
   const std::vector<GroupKey>& group_keys() const { return group_keys_; }
@@ -55,48 +62,47 @@ class ItaStream : public SegmentSource {
   std::vector<std::string> value_names() const;
 
  private:
-  struct Event {
-    Chronon time;
-    bool is_start;
-    double value = 0.0;  // contribution per aggregate is recomputed from this
-  };
-
-  ItaStream(const TemporalRelation* rel, std::vector<size_t> group_indices,
-            std::vector<AggregateSpec> aggregates,
-            std::vector<int> aggregate_attr_indices);
+  explicit ItaStream(std::vector<AggregateSpec> aggregates);
 
   /// Loads the next group's events; false when all groups are done.
   bool StartNextGroup();
-  /// Processes events until one segment is flushed or the group ends.
-  void StepGroup(Segment* flushed, bool* has_flushed);
+  /// Processes the events of one instant; true when that flushed a
+  /// coalesced segment into flushed_.
+  bool StepGroup();
 
-  const TemporalRelation* rel_;
-  std::vector<size_t> group_indices_;
   std::vector<AggregateSpec> aggregates_;
-  std::vector<int> agg_attr_indices_;  // -1 for count
-
   std::vector<GroupKey> group_keys_;
-  std::vector<std::vector<size_t>> group_tuples_;  // tuple idx per group
+  // The input in group-then-relation order: group g owns rows
+  // [group_begin_[g], group_begin_[g + 1]) of intervals_, and row i's p
+  // aggregate inputs are inputs_[i * p .. i * p + p) (0 for COUNT).
+  std::vector<size_t> group_begin_;
+  std::vector<Interval> intervals_;
+  std::vector<double> inputs_;
   size_t current_group_ = 0;
   bool group_active_ = false;
 
-  // Per-group sweep state. events_[i] holds the boundary events of the
-  // current group for aggregate dimension handling; one shared time-ordered
-  // list with per-tuple values per dimension.
-  struct TupleEvent {
+  // Per-group sweep state: the group's boundary events in time order.
+  struct Event {
     Chronon time;
+    uint32_t row;  // index into intervals_
     bool is_start;
-    size_t tuple_idx;
   };
-  std::vector<TupleEvent> events_;
+  std::vector<Event> events_;
   size_t event_pos_ = 0;
   int64_t active_count_ = 0;
   Chronon boundary_ = 0;
   std::vector<std::unique_ptr<Aggregator>> aggregators_;
 
-  // Coalescing buffer.
+  // Coalescing: the newest elementary result (current_), the segment being
+  // extended (pending_) and the last one handed out (flushed_), p values
+  // each; buffers are swapped, never reallocated.
   bool pending_valid_ = false;
-  Segment pending_;
+  Interval pending_t_;
+  Interval flushed_t_;
+  int32_t flushed_group_ = 0;
+  std::vector<double> current_;
+  std::vector<double> pending_;
+  std::vector<double> flushed_;
 };
 
 /// Batch ITA: materializes the full sequential result with group keys

@@ -1,87 +1,161 @@
 #include "datasets/csv.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace pta {
 
 namespace {
 
-bool NeedsQuoting(const std::string& s) {
-  return s.find_first_of(",\"\n") != std::string::npos;
-}
-
-std::string QuoteCell(const std::string& s) {
-  if (!NeedsQuoting(s)) return s;
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
+void AppendCell(std::string_view s, std::string* out) {
+  if (s.find_first_of(",\"\n") == std::string_view::npos) {
+    out->append(s);
+    return;
   }
-  out += "\"";
-  return out;
+  out->push_back('"');
+  for (char ch : s) {
+    if (ch == '"') out->push_back('"');
+    out->push_back(ch);
+  }
+  out->push_back('"');
 }
 
-// Splits one CSV record (no embedded newlines across records in our writer's
-// output; the parser still honors quoted newlines within a line buffer).
-Result<std::vector<std::string>> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> cells;
-  std::string cur;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char ch = line[i];
-    if (in_quotes) {
-      if (ch == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          cur += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cur += ch;
+// Integers print as %lld; doubles as %.17g, which the standard defines
+// to_chars(general, 17) to be, so every double round-trips.
+template <typename... Format>
+void AppendNumber(std::string* out, auto v, Format... format) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof(buf), v, format...);
+  out->append(buf, r.ptr);
+}
+
+// A single pass over CSV text, one cell at a time. A record ends at a
+// newline outside quotes, and a '\r' right before it (or before the end of
+// the text) is dropped. Quoted cells may hold commas, newlines and ""
+// escapes; a cell is a view into the text, or into a scratch buffer once
+// quoting made its bytes non-contiguous.
+class CsvScanner {
+ public:
+  explicit CsvScanner(std::string_view text) : text_(text) {}
+
+  /// Skips blank lines; false once the text is exhausted.
+  bool SkipBlankLines() {
+    while (pos_ < text_.size()) {
+      if (text_[pos_] == '\n') {
+        ++line_;
+      } else if (text_[pos_] != '\r' ||
+                 (pos_ + 1 < text_.size() && text_[pos_ + 1] != '\n')) {
+        return true;
       }
-    } else if (ch == '"') {
-      if (!cur.empty()) {
+      ++pos_;
+    }
+    return false;
+  }
+
+  /// 1-based line of the next unread character.
+  size_t line() const { return line_; }
+
+  /// Scans the next cell into *cell (valid until the next call) and sets
+  /// *last when it ends its record.
+  Status NextCell(std::string_view* cell, bool* last) {
+    const size_t n = text_.size();
+    size_t begin = pos_;  // the unquoted run being scanned
+    size_t i = pos_;
+    bool quoted = false;  // scratch_ holds the cell's bytes before `begin`
+    scratch_.clear();
+    while (true) {
+      while (i < n && text_[i] != ',' && text_[i] != '\n' && text_[i] != '"') {
+        ++i;
+      }
+      if (i == n || text_[i] != '"') break;
+      if (scratch_.size() + (i - begin) != 0) {
         return Status::InvalidArgument("unexpected quote inside cell");
       }
-      in_quotes = true;
-    } else if (ch == ',') {
-      cells.push_back(std::move(cur));
-      cur.clear();
-    } else {
-      cur += ch;
+      for (++i;;) {
+        const size_t q = text_.find('"', i);
+        if (q == std::string_view::npos) {
+          return Status::InvalidArgument("unterminated quoted cell");
+        }
+        line_ += std::count(text_.begin() + i, text_.begin() + q, '\n');
+        scratch_.append(text_.data() + i, q - i);
+        i = q + 1;
+        if (i == n || text_[i] != '"') break;
+        scratch_.push_back('"');
+        ++i;
+      }
+      quoted = true;
+      begin = i;
     }
+    *last = i == n || text_[i] == '\n';
+    size_t end = i;
+    if (*last && end > begin && text_[end - 1] == '\r') --end;
+    if (quoted) {
+      scratch_.append(text_.data() + begin, end - begin);
+      *cell = scratch_;
+    } else {
+      *cell = text_.substr(begin, end - begin);
+    }
+    if (i < n && text_[i] == '\n') ++line_;
+    pos_ = std::min(i + 1, n);
+    return Status::Ok();
   }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted cell");
+
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
+  size_t line_ = 1;
+  std::string scratch_;
+};
+
+// Numbers go through std::from_chars; what it rejects falls back to
+// strtoll/strtod, which also accept leading blanks, a '+' sign and hex
+// floats. An integer beyond int64 is an error, not a clamped value.
+Result<int64_t> ParseInt64(std::string_view cell) {
+  int64_t v = 0;
+  const auto r = std::from_chars(cell.data(), cell.data() + cell.size(), v);
+  if (r.ec == std::errc() && r.ptr == cell.data() + cell.size()) return v;
+  const std::string s(cell);
+  char* end = nullptr;
+  errno = 0;
+  const long long x = std::strtoll(s.c_str(), &end, 10);
+  if (*end != '\0') return Status::InvalidArgument("bad int64 cell: " + s);
+  if (errno == ERANGE) {
+    return Status::InvalidArgument("int64 cell out of range: " + s);
   }
-  cells.push_back(std::move(cur));
-  return cells;
+  return static_cast<int64_t>(x);
 }
 
-Result<Value> ParseValue(const std::string& cell, ValueType type) {
-  if (cell.empty()) return Value();  // null
+Result<double> ParseDouble(std::string_view cell) {
+  double v = 0.0;
+  const auto r = std::from_chars(cell.data(), cell.data() + cell.size(), v);
+  if (r.ec == std::errc() && r.ptr == cell.data() + cell.size()) return v;
+  const std::string s(cell);
   char* end = nullptr;
+  v = std::strtod(s.c_str(), &end);
+  if (*end != '\0') return Status::InvalidArgument("bad double cell: " + s);
+  return v;
+}
+
+Result<Value> ParseValue(std::string_view cell, ValueType type) {
+  if (cell.empty()) return Value();  // null
   switch (type) {
     case ValueType::kInt64: {
-      const long long v = std::strtoll(cell.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("bad int64 cell: " + cell);
-      }
-      return Value(static_cast<int64_t>(v));
+      auto v = ParseInt64(cell);
+      if (!v.ok()) return v.status();
+      return Value(*v);
     }
     case ValueType::kDouble: {
-      const double v = std::strtod(cell.c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        return Status::InvalidArgument("bad double cell: " + cell);
-      }
-      return Value(v);
+      auto v = ParseDouble(cell);
+      if (!v.ok()) return v.status();
+      return Value(*v);
     }
     case ValueType::kString:
-      return Value(cell);
+      return Value(std::string(cell));
     case ValueType::kNull:
       return Status::InvalidArgument("cannot parse into null-typed column");
   }
@@ -93,93 +167,97 @@ Result<Value> ParseValue(const std::string& cell, ValueType type) {
 std::string RelationToCsv(const TemporalRelation& rel) {
   std::string out;
   const Schema& schema = rel.schema();
+  out.reserve(rel.size() * (schema.num_attributes() + 2) * 12);
   for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    out += QuoteCell(schema.attribute(i).name);
+    AppendCell(schema.attribute(i).name, &out);
     out += ",";
   }
   out += "tb,te\n";
-  char buf[64];
   for (const Tuple& t : rel.tuples()) {
-    for (size_t i = 0; i < t.values().size(); ++i) {
-      const Value& v = t.value(i);
-      if (v.type() == ValueType::kDouble) {
-        // Round-trippable double formatting.
-        std::snprintf(buf, sizeof(buf), "%.17g", v.AsDoubleExact());
-        out += buf;
-      } else if (!v.is_null()) {
-        out += QuoteCell(v.ToString());
+    for (const Value& v : t.values()) {
+      switch (v.type()) {
+        case ValueType::kDouble:
+          AppendNumber(&out, v.AsDoubleExact(), std::chars_format::general,
+                       17);
+          break;
+        case ValueType::kInt64:
+          AppendNumber(&out, v.AsInt64());
+          break;
+        case ValueType::kString:
+          AppendCell(v.AsString(), &out);
+          break;
+        case ValueType::kNull:
+          break;
       }
-      out += ",";
+      out += ',';
     }
-    std::snprintf(buf, sizeof(buf), "%lld,%lld",
-                  static_cast<long long>(t.interval().begin),
-                  static_cast<long long>(t.interval().end));
-    out += buf;
-    out += "\n";
+    AppendNumber(&out, t.interval().begin);
+    out += ',';
+    AppendNumber(&out, t.interval().end);
+    out += '\n';
   }
   return out;
 }
 
 Result<TemporalRelation> RelationFromCsv(const std::string& text,
                                          const Schema& schema) {
-  std::istringstream in(text);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty CSV input");
+  if (text.empty()) return Status::InvalidArgument("empty CSV input");
+  CsvScanner scan(text);
+  std::vector<std::string> header;
+  std::string_view cell;
+  for (bool last = false; !last;) {
+    PTA_RETURN_IF_ERROR(scan.NextCell(&cell, &last));
+    header.emplace_back(cell);
   }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  auto header = SplitCsvLine(line);
-  if (!header.ok()) return header.status();
-  if (header->size() != schema.num_attributes() + 2) {
+  const size_t m = schema.num_attributes();
+  if (header.size() != m + 2) {
     return Status::InvalidArgument("CSV header arity mismatch");
   }
-  for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    if ((*header)[i] != schema.attribute(i).name) {
+  for (size_t i = 0; i < m; ++i) {
+    if (header[i] != schema.attribute(i).name) {
       return Status::InvalidArgument("CSV header column " +
                                      std::to_string(i) + " is '" +
-                                     (*header)[i] + "', expected '" +
+                                     header[i] + "', expected '" +
                                      schema.attribute(i).name + "'");
     }
   }
-  if ((*header)[schema.num_attributes()] != "tb" ||
-      (*header)[schema.num_attributes() + 1] != "te") {
+  if (header[m] != "tb" || header[m + 1] != "te") {
     return Status::InvalidArgument("CSV must end with tb,te columns");
   }
 
   TemporalRelation rel(schema);
-  size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty()) continue;
-    auto cells = SplitCsvLine(line);
-    if (!cells.ok()) return cells.status();
-    if (cells->size() != schema.num_attributes() + 2) {
-      return Status::InvalidArgument("CSV row " + std::to_string(line_no) +
-                                     " arity mismatch");
-    }
+  rel.Reserve(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')));
+  while (scan.SkipBlankLines()) {
+    const size_t line = scan.line();
+    auto row_error = [line](const char* what) {
+      return Status::InvalidArgument("CSV row " + std::to_string(line) + what);
+    };
     std::vector<Value> row;
-    row.reserve(schema.num_attributes());
-    for (size_t i = 0; i < schema.num_attributes(); ++i) {
-      auto v = ParseValue((*cells)[i], schema.attribute(i).type);
-      if (!v.ok()) return v.status();
-      row.push_back(std::move(*v));
+    row.reserve(m);
+    int64_t ts[2] = {0, 0};
+    size_t cells = 0;
+    for (bool last = false; !last; ++cells) {
+      PTA_RETURN_IF_ERROR(scan.NextCell(&cell, &last));
+      if (cells < m) {
+        auto v = ParseValue(cell, schema.attribute(cells).type);
+        if (!v.ok()) return v.status();
+        row.push_back(std::move(*v));
+      } else if (cells < m + 2) {
+        if (cell.empty()) {
+          return row_error(" has empty timestamp");
+        }
+        auto t = ParseInt64(cell);
+        if (!t.ok()) return t.status();
+        ts[cells - m] = *t;
+      }
     }
-    auto tb = ParseValue((*cells)[schema.num_attributes()], ValueType::kInt64);
-    if (!tb.ok()) return tb.status();
-    auto te =
-        ParseValue((*cells)[schema.num_attributes() + 1], ValueType::kInt64);
-    if (!te.ok()) return te.status();
-    if (tb->is_null() || te->is_null()) {
-      return Status::InvalidArgument("CSV row " + std::to_string(line_no) +
-                                     " has empty timestamp");
+    if (cells != m + 2) {
+      return row_error(" arity mismatch");
     }
-    if (tb->AsInt64() > te->AsInt64()) {
-      return Status::InvalidArgument("CSV row " + std::to_string(line_no) +
-                                     " has tb > te");
+    if (ts[0] > ts[1]) {
+      return row_error(" has tb > te");
     }
-    PTA_RETURN_IF_ERROR(
-        rel.Insert(std::move(row), Interval(tb->AsInt64(), te->AsInt64())));
+    rel.InsertUnchecked(Tuple(std::move(row), Interval(ts[0], ts[1])));
   }
   return rel;
 }

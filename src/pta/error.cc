@@ -31,18 +31,6 @@ Segment MergeSegments(const Segment& a, const Segment& b) {
   return out;
 }
 
-double Dsim(int64_t la, const double* va, int64_t lb, const double* vb,
-            size_t p, const double* weights) {
-  const double coeff = static_cast<double>(la) * static_cast<double>(lb) /
-                       static_cast<double>(la + lb);
-  double acc = 0.0;
-  for (size_t d = 0; d < p; ++d) {
-    const double diff = va[d] - vb[d];
-    acc += weights[d] * weights[d] * diff * diff;
-  }
-  return coeff * acc;
-}
-
 ErrorContext::ErrorContext(const SequentialRelation& rel,
                            std::vector<double> weights,
                            bool merge_across_gaps)

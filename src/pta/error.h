@@ -44,9 +44,19 @@ Segment MergeSegments(const Segment& a, const Segment& b);
 /// segments with lengths la/lb and values va/vb:
 ///   dsim = sum_d w_d^2 * la*lb/(la+lb) * (va_d - vb_d)^2.
 /// Callers pass kInfiniteError semantics themselves when the segments are
-/// not adjacent; this function assumes adjacency.
-double Dsim(int64_t la, const double* va, int64_t lb, const double* vb,
-            size_t p, const double* weights);
+/// not adjacent; this function assumes adjacency. Inline: every merge
+/// heap re-key calls it.
+inline double Dsim(int64_t la, const double* va, int64_t lb,
+                   const double* vb, size_t p, const double* weights) {
+  const double coeff = static_cast<double>(la) * static_cast<double>(lb) /
+                       static_cast<double>(la + lb);
+  double acc = 0.0;
+  for (size_t d = 0; d < p; ++d) {
+    const double diff = va[d] - vb[d];
+    acc += weights[d] * weights[d] * diff * diff;
+  }
+  return coeff * acc;
+}
 
 /// \brief Precomputed prefix sums over an ITA result (Sec. 5.2).
 ///

@@ -77,6 +77,7 @@ Result<Reduction> GmsReduceToSize(const SequentialRelation& ita, size_t c,
   }
   MergeHeap heap(ita.num_aggregates(), options.weights,
                  options.merge_across_gaps);
+  heap.Reserve(ita.size());
   Segment seg;
   RelationSegmentSource src(ita);
   while (src.Next(&seg)) heap.Insert(seg);
@@ -111,6 +112,7 @@ Result<Reduction> GmsReduceToError(const SequentialRelation& ita, double eps,
 
   MergeHeap heap(ita.num_aggregates(), options.weights,
                  options.merge_across_gaps);
+  heap.Reserve(ita.size());
   Segment seg;
   RelationSegmentSource src(ita);
   while (src.Next(&seg)) heap.Insert(seg);

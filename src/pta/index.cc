@@ -38,6 +38,7 @@ struct ChunkLog {
 void RunChunk(const SequentialRelation& rel, size_t begin, size_t end,
               size_t p, const PtaIndexOptions& options, ChunkLog* log) {
   MergeHeap heap(p, options.weights, options.merge_across_gaps);
+  heap.Reserve(end - begin);
   Segment seg;
   seg.values.resize(p);
   for (size_t i = begin; i < end; ++i) {
@@ -148,6 +149,7 @@ Result<PtaIndex> PtaIndex::Build(SequentialRelation input,
     index.delta_.reserve(n);
     index.cum_.reserve(n + 1);
     MergeHeap heap(p, options.weights, options.merge_across_gaps);
+    heap.Reserve(n);
     Segment seg;
     seg.values.resize(p);
     for (size_t i = 0; i < n; ++i) {

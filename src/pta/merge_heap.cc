@@ -1,5 +1,7 @@
 #include "pta/merge_heap.h"
 
+#include <algorithm>
+
 namespace pta {
 
 MergeHeap::MergeHeap(size_t p, const std::vector<double>& weights,
@@ -17,7 +19,15 @@ double MergeHeap::KeyFor(int32_t a, int32_t b) const {
               weights_.data());
 }
 
+void MergeHeap::Reserve(size_t n) {
+  nodes_.reserve(n);
+  values_.reserve(n * p_);
+  heap_.reserve(n);
+}
+
 int32_t MergeHeap::AllocNode() {
+  ++live_;
+  if (live_ > max_size_) max_size_ = live_;
   if (!free_.empty()) {
     const int32_t h = free_.back();
     free_.pop_back();
@@ -29,57 +39,67 @@ int32_t MergeHeap::AllocNode() {
   return static_cast<int32_t>(nodes_.size() - 1);
 }
 
-void MergeHeap::FreeNode(int32_t h) { free_.push_back(h); }
-
-void MergeHeap::SiftUp(size_t pos) {
-  const int32_t h = heap_[pos];
-  while (pos > 0) {
-    const size_t parent = (pos - 1) / 2;
-    if (!Less(h, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    nodes_[heap_[pos]].heap_pos = static_cast<int32_t>(pos);
-    pos = parent;
-  }
-  heap_[pos] = h;
-  nodes_[h].heap_pos = static_cast<int32_t>(pos);
+void MergeHeap::FreeNode(int32_t h) {
+  --live_;
+  free_.push_back(h);
 }
 
-void MergeHeap::SiftDown(size_t pos) {
-  const int32_t h = heap_[pos];
+void MergeHeap::Place(size_t pos, const Entry& e) {
+  heap_[pos] = e;
+  nodes_[e.node].heap_pos = static_cast<int32_t>(pos);
+}
+
+void MergeHeap::SiftUp(size_t pos, Entry e) {
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / kArity;
+    if (!Less(e, heap_[parent])) break;
+    Place(pos, heap_[parent]);
+    pos = parent;
+  }
+  Place(pos, e);
+}
+
+void MergeHeap::SiftDown(size_t pos, Entry e) {
   const size_t n = heap_.size();
   while (true) {
-    size_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && Less(heap_[child + 1], heap_[child])) ++child;
-    if (!Less(heap_[child], h)) break;
-    heap_[pos] = heap_[child];
-    nodes_[heap_[pos]].heap_pos = static_cast<int32_t>(pos);
-    pos = child;
+    const size_t first = kArity * pos + 1;
+    if (first >= n) break;
+    size_t best = first;
+    const size_t last = std::min(first + kArity, n);
+    for (size_t c = first + 1; c < last; ++c) {
+      if (Less(heap_[c], heap_[best])) best = c;
+    }
+    if (!Less(heap_[best], e)) break;
+    Place(pos, heap_[best]);
+    pos = best;
   }
-  heap_[pos] = h;
-  nodes_[h].heap_pos = static_cast<int32_t>(pos);
+  Place(pos, e);
 }
 
 void MergeHeap::HeapRemove(size_t pos) {
-  const int32_t last = heap_.back();
+  nodes_[heap_[pos].node].heap_pos = -1;
+  const Entry last = heap_.back();
   heap_.pop_back();
   if (pos < heap_.size()) {
-    heap_[pos] = last;
-    nodes_[last].heap_pos = static_cast<int32_t>(pos);
-    SiftDown(pos);
-    SiftUp(nodes_[last].heap_pos);
+    SiftDown(pos, last);
+    SiftUp(static_cast<size_t>(nodes_[last.node].heap_pos), last);
   }
 }
 
-void MergeHeap::Rekey(int32_t h, double new_key) {
-  Node& node = nodes_[h];
-  const double old_key = node.key;
-  if (new_key == old_key) return;
-  node.key = new_key;
-  if (new_key < old_key) {
-    SiftUp(static_cast<size_t>(node.heap_pos));
-  } else {
-    SiftDown(static_cast<size_t>(node.heap_pos));
+void MergeHeap::SetKey(int32_t h, double key) {
+  const int32_t pos = nodes_[h].heap_pos;
+  if (key == kInfiniteError) {
+    if (pos >= 0) HeapRemove(static_cast<size_t>(pos));
+    return;
+  }
+  const Entry e{key, h};
+  if (pos < 0) {
+    heap_.push_back(e);
+    SiftUp(heap_.size() - 1, e);
+  } else if (key < heap_[pos].key) {
+    SiftUp(static_cast<size_t>(pos), e);
+  } else if (key != heap_[pos].key) {
+    SiftDown(static_cast<size_t>(pos), e);
   }
 }
 
@@ -93,7 +113,7 @@ double MergeHeap::Insert(const Segment& seg, int64_t* id) {
   node.covered = seg.t.length();
   node.prev = tail_;
   node.next = -1;
-  for (size_t d = 0; d < p_; ++d) ValuesOf(h)[d] = seg.values[d];
+  std::copy(seg.values.begin(), seg.values.end(), ValuesOf(h));
   if (tail_ >= 0) {
     PTA_CHECK_MSG(
         nodes_[tail_].group < seg.group ||
@@ -105,28 +125,26 @@ double MergeHeap::Insert(const Segment& seg, int64_t* id) {
     head_ = h;
   }
   tail_ = h;
-  node.key = KeyFor(node.prev, h);
-
-  heap_.push_back(h);
-  node.heap_pos = static_cast<int32_t>(heap_.size() - 1);
-  SiftUp(heap_.size() - 1);
-  if (heap_.size() > max_size_) max_size_ = heap_.size();
-  if (id != nullptr) *id = node.id;
-  return node.key;
+  const double key = KeyFor(node.prev, h);
+  SetKey(h, key);
+  if (id != nullptr) *id = nodes_[h].id;
+  return key;
 }
 
 MergeHeap::TopInfo MergeHeap::Peek() const {
-  PTA_CHECK_MSG(!heap_.empty(), "Peek on empty heap");
-  const Node& node = nodes_[heap_[0]];
-  return {node.id, node.key};
+  PTA_CHECK_MSG(live_ > 0, "Peek on empty heap");
+  if (heap_.empty()) return {nodes_[head_].id, kInfiniteError};
+  return {nodes_[heap_[0].node].id, heap_[0].key};
 }
 
 double MergeHeap::MergeTop(MergeRecord* record) {
-  PTA_CHECK_MSG(!heap_.empty(), "MergeTop on empty heap");
-  const int32_t nh = heap_[0];
+  PTA_CHECK_MSG(live_ > 0, "MergeTop on empty heap");
+  PTA_CHECK_MSG(!heap_.empty() && heap_[0].key < kInfiniteError,
+                "top node has no adjacent predecessor");
+  const int32_t nh = heap_[0].node;
+  const double introduced = heap_[0].key;
+  HeapRemove(0);
   Node& n = nodes_[nh];
-  PTA_CHECK_MSG(n.key < kInfiniteError, "top node has no adjacent predecessor");
-  const double introduced = n.key;
   const int32_t ph = n.prev;
   Node& p = nodes_[ph];
   if (record != nullptr) {
@@ -160,20 +178,19 @@ double MergeHeap::MergeTop(MergeRecord* record) {
   } else {
     tail_ = ph;
   }
-  HeapRemove(0);
   FreeNode(nh);
 
   // P's value and length changed: re-key P against its predecessor and P's
   // new successor against P.
-  Rekey(ph, KeyFor(p.prev, ph));
-  if (p.next >= 0) Rekey(p.next, KeyFor(ph, p.next));
+  SetKey(ph, KeyFor(p.prev, ph));
+  if (p.next >= 0) SetKey(p.next, KeyFor(ph, p.next));
   return introduced;
 }
 
 size_t MergeHeap::CountAdjacentSuccessorsOfTop(size_t limit) const {
-  PTA_CHECK_MSG(!heap_.empty(), "empty heap");
+  PTA_CHECK_MSG(live_ > 0, "empty heap");
   size_t count = 0;
-  int32_t cur = heap_[0];
+  int32_t cur = TopNode();
   while (count < limit) {
     const int32_t next = nodes_[cur].next;
     if (next < 0) break;
@@ -186,7 +203,7 @@ size_t MergeHeap::CountAdjacentSuccessorsOfTop(size_t limit) const {
 
 std::vector<Segment> MergeHeap::ExtractSegments() const {
   std::vector<Segment> out;
-  out.reserve(heap_.size());
+  out.reserve(live_);
   for (int32_t h = head_; h >= 0; h = nodes_[h].next) {
     Segment seg;
     seg.group = nodes_[h].group;
@@ -199,7 +216,7 @@ std::vector<Segment> MergeHeap::ExtractSegments() const {
 
 SequentialRelation MergeHeap::ExtractRelation() const {
   SequentialRelation rel(p_);
-  rel.Reserve(heap_.size());
+  rel.Reserve(live_);
   for (int32_t h = head_; h >= 0; h = nodes_[h].next) {
     rel.Append(nodes_[h].group, nodes_[h].t, ValuesOf(h));
   }

@@ -1,4 +1,4 @@
-// The binary heap of Sec. 6.2.2: heap nodes represent (possibly merged) ITA
+// The merge heap of Sec. 6.2.2: heap nodes represent (possibly merged) ITA
 // result tuples chained in chronological order; a node's key is the error of
 // merging it into its predecessor (dsim, Prop. 2), infinity when the pair is
 // non-adjacent or the node is the first of the stream. MERGE pops the
@@ -23,6 +23,12 @@ namespace pta {
 /// stream length. Ties on the key are broken by the smaller sequence id,
 /// which makes merging deterministic (the paper merges the pair with the
 /// smallest timestamp).
+///
+/// Layout: an indexed 4-ary heap of 16-byte (key, node) entries, four to a
+/// cache line, so sifting compares keys without touching the nodes; only
+/// an exact key tie reads the nodes' ids. Only finite-key nodes enter it: a
+/// node whose key is infinite (a chain head, or a group or gap boundary)
+/// can never be merged and waits outside until a re-key makes it finite.
 class MergeHeap {
  public:
   /// Creates a heap for segments with p aggregate values and the given
@@ -66,8 +72,11 @@ class MergeHeap {
   /// predecessor adjacently).
   double Insert(const Segment& seg, int64_t* id = nullptr);
 
-  size_t size() const { return heap_.size(); }
-  bool empty() const { return heap_.empty(); }
+  /// Live nodes, finite-key or not.
+  size_t size() const { return live_; }
+  /// Reserves room for n live nodes.
+  void Reserve(size_t n);
+  bool empty() const { return live_ == 0; }
   /// Largest size() observed since construction (Fig. 20's metric).
   size_t max_size() const { return max_size_; }
 
@@ -90,7 +99,6 @@ class MergeHeap {
 
  private:
   struct Node {
-    double key = kInfiniteError;
     int64_t id = 0;
     int32_t group = 0;
     Interval t;
@@ -99,8 +107,16 @@ class MergeHeap {
     int64_t covered = 0;
     int32_t prev = -1;
     int32_t next = -1;
-    int32_t heap_pos = -1;
+    int32_t heap_pos = -1;  // -1 while the key is infinite
   };
+
+  /// One heap slot: a finite-key node and its key.
+  struct Entry {
+    double key;
+    int32_t node;
+  };
+
+  static constexpr size_t kArity = 4;
 
   /// True if b may be merged into its predecessor a.
   bool Mergeable(const Node& a, const Node& b) const {
@@ -108,11 +124,9 @@ class MergeHeap {
     return merge_across_gaps_ || a.t.MeetsBefore(b.t);
   }
 
-  bool Less(int32_t a, int32_t b) const {
-    const Node& na = nodes_[a];
-    const Node& nb = nodes_[b];
-    if (na.key != nb.key) return na.key < nb.key;
-    return na.id < nb.id;
+  bool Less(const Entry& a, const Entry& b) const {
+    if (a.key != b.key) return a.key < b.key;
+    return nodes_[a.node].id < nodes_[b.node].id;
   }
 
   double* ValuesOf(int32_t h) { return values_.data() + static_cast<size_t>(h) * p_; }
@@ -122,13 +136,18 @@ class MergeHeap {
 
   /// dsim of node b with its predecessor a; infinity if not adjacent.
   double KeyFor(int32_t a, int32_t b) const;
+  /// The minimum node: the heap root, or the chain head (whose key is
+  /// infinite and whose id is the smallest) when no key is finite.
+  int32_t TopNode() const { return heap_.empty() ? head_ : heap_[0].node; }
 
   int32_t AllocNode();
   void FreeNode(int32_t h);
-  void SiftUp(size_t pos);
-  void SiftDown(size_t pos);
+  void Place(size_t pos, const Entry& e);
+  void SiftUp(size_t pos, Entry e);
+  void SiftDown(size_t pos, Entry e);
   void HeapRemove(size_t pos);
-  void Rekey(int32_t h, double new_key);
+  /// Sets node h's key, moving it into, within or out of the heap.
+  void SetKey(int32_t h, double key);
 
   size_t p_;
   std::vector<double> weights_;
@@ -136,10 +155,11 @@ class MergeHeap {
   std::vector<Node> nodes_;
   std::vector<double> values_;   // nodes_.size() * p_
   std::vector<int32_t> free_;    // recycled node handles
-  std::vector<int32_t> heap_;    // node handles ordered as a binary min-heap
+  std::vector<Entry> heap_;      // finite-key nodes as a 4-ary min-heap
   int32_t head_ = -1;
   int32_t tail_ = -1;
   int64_t next_id_ = 1;
+  size_t live_ = 0;
   size_t max_size_ = 0;
 };
 

@@ -176,6 +176,38 @@ TEST(BatchGoldenTest, WriterSpecialsMatchPrintfG17) {
   ExpectGolden("writer_specials.csv", csv);
 }
 
+// A CSV with one null or non-finite aggregate input must fail with a
+// Status naming the attribute and the row on every engine, never abort
+// and never let engines disagree.
+TEST(HostileCsvTest, NullOrNonFiniteAggregateInputFailsOnEveryEngine) {
+  const Schema schema({{"G", ValueType::kInt64}, {"A1", ValueType::kDouble}});
+  for (const char* bad : {"", "nan", "inf", "-inf"}) {
+    std::string csv = "G,A1,tb,te\n";
+    for (int i = 0; i < 50; ++i) {
+      const std::string a1 = i == 17 ? bad : std::to_string(i * 1.5);
+      csv += std::to_string(i % 3) + "," + a1 + "," + std::to_string(i) +
+             "," + std::to_string(i + 2) + "\n";
+    }
+    auto rel = RelationFromCsv(csv, schema);
+    ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+    ql::Catalog catalog;
+    catalog.Register("events", &*rel);
+    for (const char* engine :
+         {"exact", "greedy", "parallel", "streaming", "indexed", "auto"}) {
+      const std::string query =
+          std::string("SELECT AVG(A1) AS a FROM events GROUP BY G "
+                      "BUDGET SIZE 5 USING ENGINE ") +
+          engine;
+      auto result = ql::ParseAndExecute(query, catalog);
+      ASSERT_FALSE(result.ok()) << "cell '" << bad << "', " << engine;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      const std::string message = result.status().ToString();
+      EXPECT_NE(message.find("A1"), std::string::npos) << message;
+      EXPECT_NE(message.find("row 17"), std::string::npos) << message;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace testing
 }  // namespace pta

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/ita.h"
 #include "datasets/csv.h"
 #include "datasets/etds.h"
@@ -172,6 +175,71 @@ TEST(CsvTest, QuotingSurvivesSpecialCharacters) {
   auto parsed = RelationFromCsv(RelationToCsv(rel), rel.schema());
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->SameTuples(rel));
+}
+
+TEST(CsvTest, QuotedNewlinesRoundTrip) {
+  TemporalRelation rel{Schema({{"Name", ValueType::kString},
+                               {"V", ValueType::kInt64}})};
+  ASSERT_TRUE(rel.Insert({Value("line1\nline2"), Value(1)}, Interval(0, 1)).ok());
+  ASSERT_TRUE(rel.Insert({Value("a,\"b\"\n"), Value(2)}, Interval(2, 3)).ok());
+  ASSERT_TRUE(rel.Insert({Value("plain"), Value(3)}, Interval(4, 5)).ok());
+  const std::string text = RelationToCsv(rel);
+  EXPECT_NE(text.find("\"line1\nline2\""), std::string::npos);
+  auto parsed = RelationFromCsv(text, rel.schema());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 3u);
+  EXPECT_TRUE(parsed->SameTuples(rel));
+  EXPECT_EQ(parsed->tuple(0).value(0).AsString(), "line1\nline2");
+  EXPECT_EQ(RelationToCsv(*parsed), text);
+
+  // Row numbers in errors count physical lines, quoted newlines included.
+  auto bad = RelationFromCsv("Name,V,tb,te\n\"a\nb\",1,0,1\nc,2,5,2\n",
+                             rel.schema());
+  ASSERT_FALSE(bad.ok());
+  EXPECT_NE(bad.status().ToString().find("CSV row 4 has tb > te"),
+            std::string::npos)
+      << bad.status().ToString();
+}
+
+TEST(CsvTest, OutOfRangeIntegersAreRejected) {
+  const Schema schema({{"V", ValueType::kInt64}});
+  // Beyond int64 in a value cell, in tb and in te: an error, not INT64_MAX.
+  for (const char* text : {"V,tb,te\n9223372036854775808,0,1\n",
+                           "V,tb,te\n-9223372036854775809,0,1\n",
+                           "V,tb,te\n1,99999999999999999999,99999999999999999999\n",
+                           "V,tb,te\n1,0,9223372036854775808\n"}) {
+    auto parsed = RelationFromCsv(text, schema);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().ToString().find("out of range"),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+  // The extremes themselves, and strtoll's leading blanks and '+' sign,
+  // still parse.
+  auto edge = RelationFromCsv(
+      "V,tb,te\n-9223372036854775808,0,9223372036854775807\n +7,+1, 2\n",
+      schema);
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(edge->tuple(0).value(0).AsInt64(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(edge->tuple(0).interval().end,
+            std::numeric_limits<int64_t>::max());
+  EXPECT_EQ(edge->tuple(1).value(0).AsInt64(), 7);
+  EXPECT_EQ(edge->tuple(1).interval(), Interval(1, 2));
+}
+
+TEST(CsvTest, DoublesAcceptWhatStrtodAccepts) {
+  const Schema schema({{"V", ValueType::kDouble}});
+  auto parsed = RelationFromCsv(
+      "V,tb,te\n 1.5,0,0\n+2,1,1\n0x1p-2,2,2\n1e400,3,3\n-nan,4,4\n",
+      schema);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->tuple(0).value(0).AsDoubleExact(), 1.5);
+  EXPECT_EQ(parsed->tuple(1).value(0).AsDoubleExact(), 2.0);
+  EXPECT_EQ(parsed->tuple(2).value(0).AsDoubleExact(), 0.25);
+  EXPECT_TRUE(std::isinf(parsed->tuple(3).value(0).AsDoubleExact()));
+  EXPECT_TRUE(std::isnan(parsed->tuple(4).value(0).AsDoubleExact()));
+  EXPECT_FALSE(RelationFromCsv("V,tb,te\n1.5 ,0,0\n", schema).ok());
 }
 
 TEST(CsvTest, CrlfAndMissingTrailingNewlineParseIdenticallyToLf) {

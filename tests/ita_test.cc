@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "test_util.h"
 
 namespace pta {
@@ -153,6 +156,93 @@ TEST(ItaTest, EmptyRelationYieldsEmptyResult) {
   auto result = Ita(rel, {{}, {Avg("V", "A")}});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
+}
+
+TEST(ItaTest, RejectsNullAndNonFiniteAggregateInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Value& bad : {Value(), Value(nan), Value(inf), Value(-inf)}) {
+    TemporalRelation rel{Schema({{"G", ValueType::kInt64},
+                                 {"V", ValueType::kDouble}})};
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(rel.Insert({Value(i % 2), i == 3 ? bad : Value(1.0 * i)},
+                             Interval(i, i + 1))
+                      .ok());
+    }
+    auto result = Ita(rel, {{"G"}, {Count("N"), Sum("V", "S")}});
+    ASSERT_FALSE(result.ok()) << bad.ToString();
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = result.status().ToString();
+    EXPECT_NE(message.find("attribute V"), std::string::npos) << message;
+    EXPECT_NE(message.find("row 3"), std::string::npos) << message;
+    EXPECT_FALSE(ItaStream::Create(rel, {{"G"}, {Max("V", "M")}}).ok());
+    // COUNT alone never reads V.
+    EXPECT_TRUE(Ita(rel, {{"G"}, {Count("N")}}).ok());
+  }
+}
+
+TEST(ItaTest, RejectsAnIntervalEndingAtTheLargestChronon) {
+  constexpr Chronon kMax = std::numeric_limits<Chronon>::max();
+  TemporalRelation rel{Schema({{"V", ValueType::kDouble}})};
+  ASSERT_TRUE(rel.Insert({Value(1.0)}, Interval(0, 5)).ok());
+  ASSERT_TRUE(rel.Insert({Value(2.0)}, Interval(kMax - 3, kMax)).ok());
+  auto result = Ita(rel, {{}, {Avg("V", "A")}});
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().ToString().find("row 1"), std::string::npos)
+      << result.status().ToString();
+
+  // One chronon short of the end is representable.
+  TemporalRelation ok_rel{Schema({{"V", ValueType::kDouble}})};
+  ASSERT_TRUE(ok_rel.Insert({Value(2.0)}, Interval(kMax - 3, kMax - 1)).ok());
+  auto ok = Ita(ok_rel, {{}, {Avg("V", "A")}});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  ASSERT_EQ(ok->size(), 1u);
+  EXPECT_EQ(ok->interval(0), Interval(kMax - 3, kMax - 1));
+}
+
+TEST(ItaTest, MultiAttributeGroupsFollowGroupKeyOrder) {
+  TemporalRelation rel{Schema({{"S", ValueType::kString},
+                               {"I", ValueType::kInt64},
+                               {"D", ValueType::kDouble},
+                               {"V", ValueType::kDouble}})};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<Value>> rows = {
+      {Value("b"), Value(2), Value(0.5), Value(1.0)},
+      {Value("a"), Value(9), Value(-0.0), Value(2.0)},
+      {Value("b"), Value(1), Value(nan), Value(3.0)},
+      {Value(), Value(5), Value(1.5), Value(4.0)},
+      {Value("a"), Value(9), Value(0.0), Value(5.0)},  // same group as row 1
+      {Value("b"), Value(2), Value(0.5), Value(6.0)},  // same group as row 0
+      {Value("a"), Value(), Value(2.5), Value(7.0)},
+      {Value("b"), Value(1), Value(nan), Value(8.0)},  // NaNs group together
+  };
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto t = static_cast<Chronon>(10 * i);
+    ASSERT_TRUE(rel.Insert(rows[i], Interval(t, t + 3)).ok());
+  }
+  auto result = Ita(rel, {{"S", "I", "D"}, {Sum("V", "Sum")}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<GroupKey>& keys = result->group_keys();
+  ASSERT_EQ(keys.size(), 5u);
+  for (size_t g = 0; g + 1 < keys.size(); ++g) {
+    EXPECT_FALSE(GroupKeyLess(keys[g + 1], keys[g])) << g;
+  }
+  EXPECT_TRUE(keys[0][0].is_null());
+  EXPECT_EQ(keys[1][0].AsString(), "a");
+  EXPECT_TRUE(keys[1][1].is_null());
+  // The first row of a group supplies its key: -0.0, not 0.0.
+  EXPECT_EQ(keys[2][1].AsInt64(), 9);
+  EXPECT_TRUE(std::signbit(keys[2][2].AsDoubleExact()));
+  EXPECT_TRUE(std::isnan(keys[3][2].AsDoubleExact()));
+  EXPECT_EQ(keys[4][1].AsInt64(), 2);
+  // Every group's sweep saw exactly its own rows: group (b, 1, nan) holds
+  // rows 2 and 7, disjoint in time.
+  size_t nan_rows = 0;
+  for (size_t i = 0; i < result->size(); ++i) {
+    if (result->group(i) == 3) ++nan_rows;
+  }
+  EXPECT_EQ(nan_rows, 2u);
+  EXPECT_TRUE(result->Validate().ok());
 }
 
 }  // namespace
