@@ -14,79 +14,59 @@ bool IsNan(const Value& v) {
   return v.type() == ValueType::kDouble && std::isnan(v.AsDoubleExact());
 }
 
-// Value::operator< with NaN placed after every other double, so sorting
-// distinct values is well defined.
-bool RankLess(const Value& a, const Value& b) {
-  if (a.type() == b.type() && (IsNan(a) || IsNan(b))) {
-    return !IsNan(a) && IsNan(b);
-  }
-  return a < b;
-}
-
-struct ValueHasher {
-  size_t operator()(const Value& v) const {
-    return static_cast<size_t>(v.Hash());
-  }
-};
-struct ValueEq {
-  bool operator()(const Value& a, const Value& b) const {
-    return a == b || (IsNan(a) && IsNan(b));
-  }
-};
-
 // Dense group id of every row, numbered in GroupKeyLess order of the rows'
-// projections onto `attrs`, without building a key per row: each attribute
-// is coded by rank among its distinct values, and the ranks are folded in
-// attribute order into the ids of the key prefixes. Fills one key per id.
+// projections onto `attrs`, without building a key per row: rows are
+// hashed in place, each group is represented by its first row, and only
+// the representatives are sorted. All NaNs count as one value, ordered
+// after every other double. Fills one key per id.
 std::vector<uint32_t> DenseGroupIds(const TemporalRelation& rel,
                                     const std::vector<size_t>& attrs,
                                     std::vector<GroupKey>* keys) {
-  const size_t n = rel.size();
-  std::vector<uint32_t> ids(n, 0);
-  size_t num_ids = n == 0 ? 0 : 1;
-  std::vector<uint64_t> folded(n);
-  for (size_t attr : attrs) {
-    std::unordered_map<Value, uint32_t, ValueHasher, ValueEq> codes;
-    std::vector<const Value*> distinct;
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = rel.tuple(i).value(attr);
-      auto [it, inserted] =
-          codes.try_emplace(v, static_cast<uint32_t>(distinct.size()));
-      if (inserted) distinct.push_back(&it->first);
-      folded[i] = it->second;
+  auto at = [&](size_t row, size_t a) -> const Value& {
+    return rel.tuple(row).value(attrs[a]);
+  };
+  auto hash = [&](size_t row) {
+    uint64_t h = 0;
+    for (size_t a = 0; a < attrs.size(); ++a) {
+      h = h * 0x9e3779b97f4a7c15ULL + (IsNan(at(row, a)) ? 1 : at(row, a).Hash());
     }
-    std::vector<uint32_t> order(distinct.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      return RankLess(*distinct[a], *distinct[b]);
-    });
-    std::vector<uint64_t> rank(distinct.size());
-    for (size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-    for (size_t i = 0; i < n; ++i) {
-      folded[i] = ids[i] * distinct.size() + rank[folded[i]];
+    return static_cast<size_t>(h);
+  };
+  auto less = [&](size_t x, size_t y) {
+    for (size_t a = 0; a < attrs.size(); ++a) {
+      const Value& u = at(x, a);
+      const Value& v = at(y, a);
+      if (u.type() == v.type() && (IsNan(u) || IsNan(v))) {
+        if (IsNan(u) != IsNan(v)) return IsNan(v);
+      } else if (u < v || v < u) {
+        return u < v;
+      }
     }
-    if (num_ids == 1) {  // the first attribute's ranks are the ids
-      for (size_t i = 0; i < n; ++i) ids[i] = static_cast<uint32_t>(folded[i]);
-      num_ids = distinct.size();
-      continue;
-    }
-    std::vector<uint64_t> sorted = folded;
-    std::sort(sorted.begin(), sorted.end());
-    sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-    for (size_t i = 0; i < n; ++i) {
-      ids[i] = static_cast<uint32_t>(
-          std::lower_bound(sorted.begin(), sorted.end(), folded[i]) -
-          sorted.begin());
-    }
-    num_ids = sorted.size();
+    return false;
+  };
+  auto same = [&](size_t x, size_t y) { return !less(x, y) && !less(y, x); };
+  std::unordered_map<size_t, uint32_t, decltype(hash), decltype(same)> groups(
+      64, hash, same);
+  std::vector<size_t> first;  // representative row per first-seen group
+  std::vector<uint32_t> ids(rel.size());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    auto [it, inserted] =
+        groups.try_emplace(i, static_cast<uint32_t>(first.size()));
+    if (inserted) first.push_back(i);
+    ids[i] = it->second;
   }
-  // Each group's key is its first row's projection, as a sorted map keyed
-  // by projections would keep it.
-  std::vector<size_t> first(num_ids, n);
-  for (size_t i = n; i-- > 0;) first[ids[i]] = i;
+  std::vector<uint32_t> order(first.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&](uint32_t x, uint32_t y) { return less(first[x], first[y]); });
+  std::vector<uint32_t> rank(first.size());
   keys->clear();
-  keys->reserve(num_ids);
-  for (size_t row : first) keys->push_back(rel.tuple(row).Project(attrs));
+  keys->reserve(first.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    rank[order[r]] = static_cast<uint32_t>(r);
+    keys->push_back(rel.tuple(first[order[r]]).Project(attrs));
+  }
+  for (uint32_t& id : ids) id = rank[id];
   return ids;
 }
 
@@ -171,8 +151,6 @@ ItaStream::ItaStream(std::vector<AggregateSpec> aggregates)
   flushed_.resize(aggregates_.size());
 }
 
-ItaStream::~ItaStream() = default;
-
 std::vector<std::string> ItaStream::value_names() const {
   std::vector<std::string> names;
   names.reserve(aggregates_.size());
@@ -214,15 +192,17 @@ bool ItaStream::StepGroup() {
   PTA_DCHECK(group_active_);
   bool flushed = false;
 
+  auto flush = [&] {
+    flushed_.swap(pending_);
+    flushed_t_ = pending_t_;
+    flushed_group_ = static_cast<int32_t>(current_group_);
+    flushed = true;
+  };
+
   // End of the current group: flush the pending coalesced segment.
   if (event_pos_ >= events_.size()) {
-    if (pending_valid_) {
-      flushed_.swap(pending_);
-      flushed_t_ = pending_t_;
-      flushed_group_ = static_cast<int32_t>(current_group_);
-      flushed = true;
-      pending_valid_ = false;
-    }
+    if (pending_valid_) flush();
+    pending_valid_ = false;
     group_active_ = false;
     ++current_group_;
     return flushed;
@@ -241,12 +221,7 @@ bool ItaStream::StepGroup() {
         std::equal(pending_.begin(), pending_.end(), current_.begin())) {
       pending_t_.end = cand.end;
     } else {
-      if (pending_valid_) {
-        flushed_.swap(pending_);
-        flushed_t_ = pending_t_;
-        flushed_group_ = static_cast<int32_t>(current_group_);
-        flushed = true;
-      }
+      if (pending_valid_) flush();
       pending_.swap(current_);
       pending_t_ = cand;
       pending_valid_ = true;
@@ -279,9 +254,7 @@ bool ItaStream::NextView(SegmentView* out) {
       return true;
     }
   }
-  // All groups done; a pending segment was flushed by the last StepGroup
-  // call of its group.
-  return false;
+  return false;  // the last StepGroup of each group flushed its pending
 }
 
 bool ItaStream::Next(Segment* out) {

@@ -48,7 +48,7 @@ class ItaStream : public SegmentSource {
   /// naming the row. The stream keeps no reference to the relation.
   [[nodiscard]] static Result<std::unique_ptr<ItaStream>> Create(const TemporalRelation& rel,
                                                    const ItaSpec& spec);
-  ~ItaStream() override;
+  ~ItaStream() override = default;
 
   size_t num_aggregates() const override { return aggregates_.size(); }
   bool Next(Segment* out) override;
@@ -73,8 +73,8 @@ class ItaStream : public SegmentSource {
   std::vector<AggregateSpec> aggregates_;
   std::vector<GroupKey> group_keys_;
   // The input in group-then-relation order: group g owns rows
-  // [group_begin_[g], group_begin_[g + 1]) of intervals_, and row i's p
-  // aggregate inputs are inputs_[i * p .. i * p + p) (0 for COUNT).
+  // [group_begin_[g], group_begin_[g + 1]); row i's p aggregate inputs are
+  // inputs_[i * p ...] (0 for COUNT).
   std::vector<size_t> group_begin_;
   std::vector<Interval> intervals_;
   std::vector<double> inputs_;
@@ -93,9 +93,9 @@ class ItaStream : public SegmentSource {
   Chronon boundary_ = 0;
   std::vector<std::unique_ptr<Aggregator>> aggregators_;
 
-  // Coalescing: the newest elementary result (current_), the segment being
-  // extended (pending_) and the last one handed out (flushed_), p values
-  // each; buffers are swapped, never reallocated.
+  // Coalescing: p values each for the newest elementary result, the
+  // segment being extended and the last one handed out; swapped, never
+  // reallocated.
   bool pending_valid_ = false;
   Interval pending_t_;
   Interval flushed_t_;

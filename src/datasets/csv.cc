@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 #include <string_view>
+#include <type_traits>
 
 namespace pta {
 
@@ -35,24 +36,22 @@ void AppendNumber(std::string* out, auto v, Format... format) {
 }
 
 // A single pass over CSV text, one cell at a time. A record ends at a
-// newline outside quotes, and a '\r' right before it (or before the end of
-// the text) is dropped. Quoted cells may hold commas, newlines and ""
-// escapes; a cell is a view into the text, or into a scratch buffer once
-// quoting made its bytes non-contiguous.
+// newline outside quotes; a '\r' before it (or before the end) is dropped.
+// Quoted cells may hold commas, newlines and "" escapes; a cell views the
+// text, or a scratch buffer once quoting made its bytes non-contiguous.
 class CsvScanner {
  public:
   explicit CsvScanner(std::string_view text) : text_(text) {}
 
   /// Skips blank lines; false once the text is exhausted.
   bool SkipBlankLines() {
-    while (pos_ < text_.size()) {
+    for (; pos_ < text_.size(); ++pos_) {
       if (text_[pos_] == '\n') {
         ++line_;
       } else if (text_[pos_] != '\r' ||
                  (pos_ + 1 < text_.size() && text_[pos_ + 1] != '\n')) {
         return true;
       }
-      ++pos_;
     }
     return false;
   }
@@ -115,45 +114,38 @@ class CsvScanner {
 // Numbers go through std::from_chars; what it rejects falls back to
 // strtoll/strtod, which also accept leading blanks, a '+' sign and hex
 // floats. An integer beyond int64 is an error, not a clamped value.
-Result<int64_t> ParseInt64(std::string_view cell) {
-  int64_t v = 0;
+template <typename T>
+Result<T> ParseNumber(std::string_view cell) {
+  T v{};
   const auto r = std::from_chars(cell.data(), cell.data() + cell.size(), v);
   if (r.ec == std::errc() && r.ptr == cell.data() + cell.size()) return v;
+  constexpr bool kInt = std::is_integral_v<T>;
   const std::string s(cell);
   char* end = nullptr;
   errno = 0;
-  const long long x = std::strtoll(s.c_str(), &end, 10);
-  if (*end != '\0') return Status::InvalidArgument("bad int64 cell: " + s);
-  if (errno == ERANGE) {
+  if constexpr (kInt) v = std::strtoll(s.c_str(), &end, 10);
+  else v = std::strtod(s.c_str(), &end);
+  if (*end != '\0') {
+    return Status::InvalidArgument(kInt ? "bad int64 cell: " + s
+                                        : "bad double cell: " + s);
+  }
+  if (kInt && errno == ERANGE) {
     return Status::InvalidArgument("int64 cell out of range: " + s);
   }
-  return static_cast<int64_t>(x);
-}
-
-Result<double> ParseDouble(std::string_view cell) {
-  double v = 0.0;
-  const auto r = std::from_chars(cell.data(), cell.data() + cell.size(), v);
-  if (r.ec == std::errc() && r.ptr == cell.data() + cell.size()) return v;
-  const std::string s(cell);
-  char* end = nullptr;
-  v = std::strtod(s.c_str(), &end);
-  if (*end != '\0') return Status::InvalidArgument("bad double cell: " + s);
   return v;
 }
 
 Result<Value> ParseValue(std::string_view cell, ValueType type) {
   if (cell.empty()) return Value();  // null
+  auto number = [](auto parsed) -> Result<Value> {
+    if (!parsed.ok()) return parsed.status();
+    return Value(*parsed);
+  };
   switch (type) {
-    case ValueType::kInt64: {
-      auto v = ParseInt64(cell);
-      if (!v.ok()) return v.status();
-      return Value(*v);
-    }
-    case ValueType::kDouble: {
-      auto v = ParseDouble(cell);
-      if (!v.ok()) return v.status();
-      return Value(*v);
-    }
+    case ValueType::kInt64:
+      return number(ParseNumber<int64_t>(cell));
+    case ValueType::kDouble:
+      return number(ParseNumber<double>(cell));
     case ValueType::kString:
       return Value(std::string(cell));
     case ValueType::kNull:
@@ -243,20 +235,14 @@ Result<TemporalRelation> RelationFromCsv(const std::string& text,
         if (!v.ok()) return v.status();
         row.push_back(std::move(*v));
       } else if (cells < m + 2) {
-        if (cell.empty()) {
-          return row_error(" has empty timestamp");
-        }
-        auto t = ParseInt64(cell);
+        if (cell.empty()) return row_error(" has empty timestamp");
+        auto t = ParseNumber<int64_t>(cell);
         if (!t.ok()) return t.status();
         ts[cells - m] = *t;
       }
     }
-    if (cells != m + 2) {
-      return row_error(" arity mismatch");
-    }
-    if (ts[0] > ts[1]) {
-      return row_error(" has tb > te");
-    }
+    if (cells != m + 2) return row_error(" arity mismatch");
+    if (ts[0] > ts[1]) return row_error(" has tb > te");
     rel.InsertUnchecked(Tuple(std::move(row), Interval(ts[0], ts[1])));
   }
   return rel;

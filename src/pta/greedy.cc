@@ -78,9 +78,7 @@ Result<Reduction> GmsReduceToSize(const SequentialRelation& ita, size_t c,
   MergeHeap heap(ita.num_aggregates(), options.weights,
                  options.merge_across_gaps);
   heap.Reserve(ita.size());
-  Segment seg;
-  RelationSegmentSource src(ita);
-  while (src.Next(&seg)) heap.Insert(seg);
+  for (size_t i = 0; i < ita.size(); ++i) heap.Insert(ita.view(i));
 
   double total = 0.0;
   size_t merges = 0;
@@ -113,9 +111,7 @@ Result<Reduction> GmsReduceToError(const SequentialRelation& ita, double eps,
   MergeHeap heap(ita.num_aggregates(), options.weights,
                  options.merge_across_gaps);
   heap.Reserve(ita.size());
-  Segment seg;
-  RelationSegmentSource src(ita);
-  while (src.Next(&seg)) heap.Insert(seg);
+  for (size_t i = 0; i < ita.size(); ++i) heap.Insert(ita.view(i));
 
   double total = 0.0;
   size_t merges = 0;

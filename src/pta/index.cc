@@ -39,14 +39,7 @@ void RunChunk(const SequentialRelation& rel, size_t begin, size_t end,
               size_t p, const PtaIndexOptions& options, ChunkLog* log) {
   MergeHeap heap(p, options.weights, options.merge_across_gaps);
   heap.Reserve(end - begin);
-  Segment seg;
-  seg.values.resize(p);
-  for (size_t i = begin; i < end; ++i) {
-    seg.group = rel.group(i);
-    seg.t = rel.interval(i);
-    std::copy(rel.values(i), rel.values(i) + p, seg.values.begin());
-    heap.Insert(seg);
-  }
+  for (size_t i = begin; i < end; ++i) heap.Insert(rel.view(i));
   log->merges.reserve(end - begin);
   log->values.reserve((end - begin) * p);
   while (!heap.empty() && heap.Peek().key < kInfiniteError) {
@@ -150,14 +143,7 @@ Result<PtaIndex> PtaIndex::Build(SequentialRelation input,
     index.cum_.reserve(n + 1);
     MergeHeap heap(p, options.weights, options.merge_across_gaps);
     heap.Reserve(n);
-    Segment seg;
-    seg.values.resize(p);
-    for (size_t i = 0; i < n; ++i) {
-      seg.group = rel.group(i);
-      seg.t = rel.interval(i);
-      std::copy(rel.values(i), rel.values(i) + p, seg.values.begin());
-      heap.Insert(seg);
-    }
+    for (size_t i = 0; i < n; ++i) heap.Insert(rel.view(i));
     double running = 0.0;
     while (!heap.empty() && heap.Peek().key < kInfiniteError) {
       MergeHeap::MergeRecord rec;

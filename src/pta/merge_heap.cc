@@ -26,23 +26,21 @@ void MergeHeap::Reserve(size_t n) {
 }
 
 int32_t MergeHeap::AllocNode() {
-  ++live_;
-  if (live_ > max_size_) max_size_ = live_;
+  int32_t h;
   if (!free_.empty()) {
-    const int32_t h = free_.back();
+    h = free_.back();
     free_.pop_back();
     nodes_[h] = Node{};
-    return h;
+  } else {
+    h = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+    values_.resize(nodes_.size() * p_, 0.0);
   }
-  nodes_.emplace_back();
-  values_.resize(nodes_.size() * p_, 0.0);
-  return static_cast<int32_t>(nodes_.size() - 1);
+  max_size_ = std::max(max_size_, size());
+  return h;
 }
 
-void MergeHeap::FreeNode(int32_t h) {
-  --live_;
-  free_.push_back(h);
-}
+void MergeHeap::FreeNode(int32_t h) { free_.push_back(h); }
 
 void MergeHeap::Place(size_t pos, const Entry& e) {
   heap_[pos] = e;
@@ -105,6 +103,10 @@ void MergeHeap::SetKey(int32_t h, double key) {
 
 double MergeHeap::Insert(const Segment& seg, int64_t* id) {
   PTA_CHECK_MSG(seg.values.size() == p_, "segment arity mismatch");
+  return Insert(SegmentView{seg.group, seg.t, seg.values.data()}, id);
+}
+
+double MergeHeap::Insert(const SegmentView& seg, int64_t* id) {
   const int32_t h = AllocNode();
   Node& node = nodes_[h];
   node.id = next_id_++;
@@ -113,7 +115,7 @@ double MergeHeap::Insert(const Segment& seg, int64_t* id) {
   node.covered = seg.t.length();
   node.prev = tail_;
   node.next = -1;
-  std::copy(seg.values.begin(), seg.values.end(), ValuesOf(h));
+  std::copy(seg.values, seg.values + p_, ValuesOf(h));
   if (tail_ >= 0) {
     PTA_CHECK_MSG(
         nodes_[tail_].group < seg.group ||
@@ -132,13 +134,13 @@ double MergeHeap::Insert(const Segment& seg, int64_t* id) {
 }
 
 MergeHeap::TopInfo MergeHeap::Peek() const {
-  PTA_CHECK_MSG(live_ > 0, "Peek on empty heap");
+  PTA_CHECK_MSG(!empty(), "Peek on empty heap");
   if (heap_.empty()) return {nodes_[head_].id, kInfiniteError};
   return {nodes_[heap_[0].node].id, heap_[0].key};
 }
 
 double MergeHeap::MergeTop(MergeRecord* record) {
-  PTA_CHECK_MSG(live_ > 0, "MergeTop on empty heap");
+  PTA_CHECK_MSG(!empty(), "MergeTop on empty heap");
   PTA_CHECK_MSG(!heap_.empty() && heap_[0].key < kInfiniteError,
                 "top node has no adjacent predecessor");
   const int32_t nh = heap_[0].node;
@@ -188,7 +190,7 @@ double MergeHeap::MergeTop(MergeRecord* record) {
 }
 
 size_t MergeHeap::CountAdjacentSuccessorsOfTop(size_t limit) const {
-  PTA_CHECK_MSG(live_ > 0, "empty heap");
+  PTA_CHECK_MSG(!empty(), "empty heap");
   size_t count = 0;
   int32_t cur = TopNode();
   while (count < limit) {
@@ -201,22 +203,9 @@ size_t MergeHeap::CountAdjacentSuccessorsOfTop(size_t limit) const {
   return count;
 }
 
-std::vector<Segment> MergeHeap::ExtractSegments() const {
-  std::vector<Segment> out;
-  out.reserve(live_);
-  for (int32_t h = head_; h >= 0; h = nodes_[h].next) {
-    Segment seg;
-    seg.group = nodes_[h].group;
-    seg.t = nodes_[h].t;
-    seg.values.assign(ValuesOf(h), ValuesOf(h) + p_);
-    out.push_back(std::move(seg));
-  }
-  return out;
-}
-
 SequentialRelation MergeHeap::ExtractRelation() const {
   SequentialRelation rel(p_);
-  rel.Reserve(live_);
+  rel.Reserve(size());
   for (int32_t h = head_; h >= 0; h = nodes_[h].next) {
     rel.Append(nodes_[h].group, nodes_[h].t, ValuesOf(h));
   }

@@ -70,13 +70,14 @@ class MergeHeap {
   /// Inserts a segment as the new chronological tail; returns its sequence
   /// id (1-based) via *id and its key (infinity when it does not follow its
   /// predecessor adjacently).
+  double Insert(const SegmentView& seg, int64_t* id = nullptr);
   double Insert(const Segment& seg, int64_t* id = nullptr);
 
   /// Live nodes, finite-key or not.
-  size_t size() const { return live_; }
+  size_t size() const { return nodes_.size() - free_.size(); }
+  bool empty() const { return size() == 0; }
   /// Reserves room for n live nodes.
   void Reserve(size_t n);
-  bool empty() const { return live_ == 0; }
   /// Largest size() observed since construction (Fig. 20's metric).
   size_t max_size() const { return max_size_; }
 
@@ -92,8 +93,6 @@ class MergeHeap {
   /// adjacent pairs, stopping at `limit` (the gPTA δ check).
   size_t CountAdjacentSuccessorsOfTop(size_t limit) const;
 
-  /// Remaining segments in chronological order.
-  std::vector<Segment> ExtractSegments() const;
   /// Remaining segments as a SequentialRelation (group keys not attached).
   SequentialRelation ExtractRelation() const;
 
@@ -159,7 +158,6 @@ class MergeHeap {
   int32_t head_ = -1;
   int32_t tail_ = -1;
   int64_t next_id_ = 1;
-  size_t live_ = 0;
   size_t max_size_ = 0;
 };
 

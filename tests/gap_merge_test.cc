@@ -65,11 +65,11 @@ TEST(GapMergeTest, HeapMergesAcrossGapWithCoveredWeights) {
   // dsim weighted by covered lengths: 2*1/3 * (10-40)^2 = 600.
   EXPECT_NEAR(top.key, 600.0, 1e-9);
   heap.MergeTop();
-  const std::vector<Segment> segs = heap.ExtractSegments();
+  const SequentialRelation segs = heap.ExtractRelation();
   ASSERT_EQ(segs.size(), 1u);
-  EXPECT_EQ(segs[0].t, Interval(0, 10));  // hull
+  EXPECT_EQ(segs.interval(0), Interval(0, 10));  // hull
   // Covered-weighted mean: (2*10 + 1*40) / 3 = 20.
-  EXPECT_NEAR(segs[0].values[0], 20.0, 1e-9);
+  EXPECT_NEAR(segs.value(0, 0), 20.0, 1e-9);
 }
 
 TEST(GapMergeTest, WeightedGapMergeKeysUseCoveredChronons) {
@@ -88,12 +88,12 @@ TEST(GapMergeTest, WeightedGapMergeKeysUseCoveredChronons) {
       (2.0 * 1.0 / 3.0) * (9.0 * 900.0 + 0.25 * 25.0);
   EXPECT_DOUBLE_EQ(heap.Peek().key, expected);
   heap.MergeTop();
-  const std::vector<Segment> segs = heap.ExtractSegments();
+  const SequentialRelation segs = heap.ExtractRelation();
   ASSERT_EQ(segs.size(), 1u);
-  EXPECT_EQ(segs[0].t, Interval(0, 10));
+  EXPECT_EQ(segs.interval(0), Interval(0, 10));
   // Values are covered-weighted per dimension, independent of the weights.
-  EXPECT_DOUBLE_EQ(segs[0].values[0], (2.0 * 10.0 + 1.0 * 40.0) / 3.0);
-  EXPECT_DOUBLE_EQ(segs[0].values[1], (2.0 * 1.0 + 1.0 * 6.0) / 3.0);
+  EXPECT_DOUBLE_EQ(segs.value(0, 0), (2.0 * 10.0 + 1.0 * 40.0) / 3.0);
+  EXPECT_DOUBLE_EQ(segs.value(0, 1), (2.0 * 1.0 + 1.0 * 6.0) / 3.0);
 
   // After a gap merge, further keys keep using accumulated covered
   // chronons (3 here), not the hull length (11).

@@ -59,10 +59,10 @@ TEST(MergeHeapTest, MergeTopFoldsIntoPredecessorAndRekeys) {
   EXPECT_EQ(top.id, 3);
   EXPECT_NEAR(top.key, 5000.0, 0.01);
   // The merged node s4 ⊕ s5 = (A, 333.33, [5,7]).
-  const std::vector<Segment> segs = heap.ExtractSegments();
+  const SequentialRelation segs = heap.ExtractRelation();
   ASSERT_EQ(segs.size(), 6u);
-  EXPECT_EQ(segs[3].t, Interval(5, 7));
-  EXPECT_NEAR(segs[3].values[0], 1000.0 / 3.0, 1e-9);
+  EXPECT_EQ(segs.interval(3), Interval(5, 7));
+  EXPECT_NEAR(segs.value(3, 0), 1000.0 / 3.0, 1e-9);
 }
 
 TEST(MergeHeapTest, MergeRecordReportsTheExecutedMerge) {
@@ -106,11 +106,11 @@ TEST(MergeHeapTest, FullDrainFollowsFig9Dendrogram) {
   EXPECT_NEAR(heap.MergeTop(), 56333.33, 0.01);
   // Result of reducing to c = 4 (Example 17): total error 63 000.
   EXPECT_EQ(heap.size(), 4u);
-  const std::vector<Segment> segs = heap.ExtractSegments();
-  EXPECT_EQ(segs[0].t, Interval(1, 2));
-  EXPECT_NEAR(segs[0].values[0], 800.0, 1e-9);  // z1
-  EXPECT_EQ(segs[1].t, Interval(3, 7));
-  EXPECT_NEAR(segs[1].values[0], 420.0, 1e-9);  // z2 = (A, 420)
+  const SequentialRelation segs = heap.ExtractRelation();
+  EXPECT_EQ(segs.interval(0), Interval(1, 2));
+  EXPECT_NEAR(segs.value(0, 0), 800.0, 1e-9);  // z1
+  EXPECT_EQ(segs.interval(1), Interval(3, 7));
+  EXPECT_NEAR(segs.value(1, 0), 420.0, 1e-9);  // z2 = (A, 420)
 }
 
 TEST(MergeHeapTest, ExtractRelationPreservesChronologicalOrder) {
