@@ -11,7 +11,9 @@
 #   --quick-bench smoke-run the benchmark sweep instead of ctest: build,
 #                 run bench/run_all --quick, and validate that every emitted
 #                 record parses as JSON (run_all itself exits non-zero when
-#                 any bench fails, so this also gates the bench invariants)
+#                 any bench fails, so this also gates the bench invariants);
+#                 then run every perfbench workload for 3 s traced, whose
+#                 byte and bitwise output checks fail the step on a mismatch
 #   --analyze     the compile-time correctness gate (docs/STATIC_ANALYSIS.md):
 #                 1. scripts/pta_lint.py over src/ tests/ bench/ examples/
 #                    (determinism + parse-discipline rules, runs everywhere)
@@ -86,6 +88,7 @@ if records == 0:
     raise SystemExit("run_all emitted no JSON records")
 print(f"quick-bench: {records} JSON records, all parse")
 '
+  python3 perfbench/run.py --workload all --seed 7 --seconds 3 --trace 1
 elif [[ "$mode" == "analyze" ]]; then
   echo "== analyze 2/4: -Werror build + full suite ([[nodiscard]] gate) =="
   (cd "$build_dir" && ctest --output-on-failure -j)

@@ -97,13 +97,13 @@ class MergeHeap {
   SequentialRelation ExtractRelation() const;
 
  private:
-  struct Node {
+  struct Node {  // 48 bytes: no padding
     int64_t id = 0;
-    int32_t group = 0;
     Interval t;
     /// Chronons actually covered (== t.length() unless gap merging folded
     /// segments across holes).
     int64_t covered = 0;
+    int32_t group = 0;
     int32_t prev = -1;
     int32_t next = -1;
     int32_t heap_pos = -1;  // -1 while the key is infinite
