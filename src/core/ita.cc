@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
-#include <unordered_map>
 
 namespace pta {
 
@@ -15,56 +15,34 @@ bool IsNan(const Value& v) {
 }
 
 // Dense group id of every row, numbered in GroupKeyLess order of the rows'
-// projections onto `attrs`, without building a key per row: rows are
-// hashed in place, each group is represented by its first row, and only
-// the representatives are sorted. All NaNs count as one value, ordered
-// after every other double. Fills one key per id.
+// projections onto `attrs` (NaNs form one value, after every other double),
+// without building a key per row: the map holds each group's first row and
+// compares projections in place. Fills one key per id.
 std::vector<uint32_t> DenseGroupIds(const TemporalRelation& rel,
                                     const std::vector<size_t>& attrs,
                                     std::vector<GroupKey>* keys) {
-  auto at = [&](size_t row, size_t a) -> const Value& {
-    return rel.tuple(row).value(attrs[a]);
-  };
-  auto hash = [&](size_t row) {
-    uint64_t h = 0;
-    for (size_t a = 0; a < attrs.size(); ++a) {
-      h = h * 0x9e3779b97f4a7c15ULL + (IsNan(at(row, a)) ? 1 : at(row, a).Hash());
-    }
-    return static_cast<size_t>(h);
-  };
   auto less = [&](size_t x, size_t y) {
-    for (size_t a = 0; a < attrs.size(); ++a) {
-      const Value& u = at(x, a);
-      const Value& v = at(y, a);
-      if (u.type() == v.type() && (IsNan(u) || IsNan(v))) {
-        if (IsNan(u) != IsNan(v)) return IsNan(v);
-      } else if (u < v || v < u) {
-        return u < v;
-      }
+    for (size_t a : attrs) {
+      const Value& u = rel.tuple(x).value(a);
+      const Value& v = rel.tuple(y).value(a);
+      if (u < v) return true;
+      if (v < u) return false;
+      if (IsNan(u) != IsNan(v)) return IsNan(v);
     }
     return false;
   };
-  auto same = [&](size_t x, size_t y) { return !less(x, y) && !less(y, x); };
-  std::unordered_map<size_t, uint32_t, decltype(hash), decltype(same)> groups(
-      64, hash, same);
-  std::vector<size_t> first;  // representative row per first-seen group
+  std::map<size_t, uint32_t, decltype(less)> groups(less);
   std::vector<uint32_t> ids(rel.size());
   for (size_t i = 0; i < rel.size(); ++i) {
-    auto [it, inserted] =
-        groups.try_emplace(i, static_cast<uint32_t>(first.size()));
-    if (inserted) first.push_back(i);
-    ids[i] = it->second;
+    ids[i] = groups.try_emplace(i, static_cast<uint32_t>(groups.size()))
+                 .first->second;
   }
-  std::vector<uint32_t> order(first.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(),
-            [&](uint32_t x, uint32_t y) { return less(first[x], first[y]); });
-  std::vector<uint32_t> rank(first.size());
+  std::vector<uint32_t> rank(groups.size());
   keys->clear();
-  keys->reserve(first.size());
-  for (size_t r = 0; r < order.size(); ++r) {
-    rank[order[r]] = static_cast<uint32_t>(r);
-    keys->push_back(rel.tuple(first[order[r]]).Project(attrs));
+  keys->reserve(groups.size());
+  for (const auto& [row, code] : groups) {
+    rank[code] = static_cast<uint32_t>(keys->size());
+    keys->push_back(rel.tuple(row).Project(attrs));
   }
   for (uint32_t& id : ids) id = rank[id];
   return ids;
@@ -101,31 +79,14 @@ Result<std::unique_ptr<ItaStream>> ItaStream::Create(
     attrs.push_back(idx);
   }
 
-  std::unique_ptr<ItaStream> s(new ItaStream(spec.aggregates));
-  const std::vector<uint32_t> ids =
-      DenseGroupIds(rel, *group_indices, &s->group_keys_);
-  // Counting sort of the rows by group id; rows keep relation order within
-  // a group, which fixes each group's event order below.
-  const size_t n = rel.size();
-  const size_t p = attrs.size();
-  s->group_begin_.assign(s->group_keys_.size() + 1, 0);
-  for (uint32_t id : ids) ++s->group_begin_[id + 1];
-  for (size_t g = 1; g < s->group_begin_.size(); ++g) {
-    s->group_begin_[g] += s->group_begin_[g - 1];
-  }
-  std::vector<size_t> next(s->group_begin_.begin(), s->group_begin_.end() - 1);
-  s->intervals_.resize(n);
-  s->inputs_.resize(n * p);
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < rel.size(); ++i) {
     const Tuple& tuple = rel.tuple(i);
     if (tuple.interval().end == std::numeric_limits<Chronon>::max()) {
       return Status::InvalidArgument(
           "row " + std::to_string(i) + " " + tuple.ToString() +
           ": interval end is the largest chronon, which ITA cannot close");
     }
-    const size_t row = next[ids[i]]++;
-    s->intervals_[row] = tuple.interval();
-    for (size_t d = 0; d < p; ++d) {
+    for (size_t d = 0; d < attrs.size(); ++d) {
       if (attrs[d] < 0) continue;
       const Value& v = tuple.value(static_cast<size_t>(attrs[d]));
       if (v.is_null() || !std::isfinite(v.ToDouble())) {
@@ -134,21 +95,39 @@ Result<std::unique_ptr<ItaStream>> ItaStream::Create(
             (v.is_null() ? "null" : "not finite") + " in row " +
             std::to_string(i) + " " + tuple.ToString());
       }
-      s->inputs_[row * p + d] = v.ToDouble();
     }
+  }
+
+  std::unique_ptr<ItaStream> s(
+      new ItaStream(&rel, spec.aggregates, std::move(attrs)));
+  const std::vector<uint32_t> ids =
+      DenseGroupIds(rel, *group_indices, &s->group_keys_);
+  // Counting sort of the rows by group id; rows keep relation order within
+  // a group, which fixes each group's event order.
+  std::vector<size_t>& begin = s->group_begin_;
+  begin.assign(s->group_keys_.size() + 1, 0);
+  for (uint32_t id : ids) ++begin[id + 1];
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  s->rows_.resize(rel.size());
+  for (size_t i = 0; i < rel.size(); ++i) {
+    s->rows_[next[ids[i]]++] = static_cast<uint32_t>(i);
   }
   return s;
 }
 
-ItaStream::ItaStream(std::vector<AggregateSpec> aggregates)
-    : aggregates_(std::move(aggregates)) {
-  aggregators_.reserve(aggregates_.size());
+ItaStream::ItaStream(const TemporalRelation* rel,
+                     std::vector<AggregateSpec> aggregates,
+                     std::vector<int> attrs)
+    : rel_(rel),
+      aggregates_(std::move(aggregates)),
+      attrs_(std::move(attrs)),
+      current_(attrs_.size()),
+      pending_(attrs_.size()),
+      flushed_(attrs_.size()) {
   for (const AggregateSpec& agg : aggregates_) {
     aggregators_.push_back(CreateAggregator(agg.kind));
   }
-  current_.resize(aggregates_.size());
-  pending_.resize(aggregates_.size());
-  flushed_.resize(aggregates_.size());
 }
 
 std::vector<std::string> ItaStream::value_names() const {
@@ -162,14 +141,21 @@ bool ItaStream::StartNextGroup() {
   if (current_group_ + 1 >= group_begin_.size()) return false;
 
   const size_t begin = group_begin_[current_group_];
-  const size_t end = group_begin_[current_group_ + 1];
+  const size_t size = group_begin_[current_group_ + 1] - begin;
+  const size_t p = attrs_.size();
   events_.clear();
-  events_.reserve((end - begin) * 2);
-  for (size_t row = begin; row < end; ++row) {
-    const Interval& t = intervals_[row];
-    const auto r = static_cast<uint32_t>(row);
-    events_.push_back({t.begin, r, /*is_start=*/true});
-    events_.push_back({t.end + 1, r, /*is_start=*/false});
+  events_.reserve(size * 2);
+  inputs_.resize(size * p);
+  for (size_t k = 0; k < size; ++k) {
+    const Tuple& tuple = rel_->tuple(rows_[begin + k]);
+    const auto r = static_cast<uint32_t>(k);
+    events_.push_back({tuple.interval().begin, r, /*is_start=*/true});
+    events_.push_back({tuple.interval().end + 1, r, /*is_start=*/false});
+    for (size_t d = 0; d < p; ++d) {
+      inputs_[k * p + d] =
+          attrs_[d] < 0 ? 0.0
+                        : tuple.value(static_cast<size_t>(attrs_[d])).ToDouble();
+    }
   }
   // End events sort before start events at the same instant so that an
   // aggregator never simultaneously holds a tuple that ended at t-1 and one

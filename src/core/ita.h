@@ -34,18 +34,18 @@ struct ItaSpec {
 
 /// \brief Streaming ITA evaluation.
 ///
-/// Construction validates the spec against the relation's schema and reads
-/// what the sweep needs into flat arrays, bucketed per group: every row's
-/// interval and its aggregate inputs as doubles. `Next()` then runs the
-/// per-group endpoint sweep lazily, emitting each coalesced result tuple as
-/// soon as it is final. Groups are emitted in their deterministic sorted
-/// order, chronologically within each group, as the merging phase requires
+/// Construction validates the spec and the input, and buckets the rows per
+/// group; `Next()` then runs the per-group endpoint sweep lazily, reading
+/// each group's aggregate inputs into a flat array of doubles when its
+/// sweep starts and emitting each coalesced result tuple as soon as it is
+/// final. Groups are emitted in their deterministic sorted order,
+/// chronologically within each group, as the merging phase requires
 /// (Sec. 5.1).
 class ItaStream : public SegmentSource {
  public:
-  /// Fails on a null or non-finite aggregate input and on an interval
-  /// ending at the largest chronon (the sweep's end event would overflow),
-  /// naming the row. The stream keeps no reference to the relation.
+  /// The relation must outlive the stream. Fails on a null or non-finite
+  /// aggregate input and on an interval ending at the largest chronon (the
+  /// sweep's end event would overflow), naming the row.
   [[nodiscard]] static Result<std::unique_ptr<ItaStream>> Create(const TemporalRelation& rel,
                                                    const ItaSpec& spec);
   ~ItaStream() override = default;
@@ -62,7 +62,8 @@ class ItaStream : public SegmentSource {
   std::vector<std::string> value_names() const;
 
  private:
-  explicit ItaStream(std::vector<AggregateSpec> aggregates);
+  ItaStream(const TemporalRelation* rel, std::vector<AggregateSpec> aggregates,
+            std::vector<int> attrs);
 
   /// Loads the next group's events; false when all groups are done.
   bool StartNextGroup();
@@ -70,13 +71,15 @@ class ItaStream : public SegmentSource {
   /// coalesced segment into flushed_.
   bool StepGroup();
 
+  const TemporalRelation* rel_;
   std::vector<AggregateSpec> aggregates_;
+  std::vector<int> attrs_;  // aggregate attribute index, -1 for COUNT
   std::vector<GroupKey> group_keys_;
-  // The input in group-then-relation order: group g owns rows
-  // [group_begin_[g], group_begin_[g + 1]); row i's p aggregate inputs are
-  // inputs_[i * p ...] (0 for COUNT).
+  // Row indices in group-then-relation order: group g owns
+  // rows_[group_begin_[g] .. group_begin_[g + 1]).
   std::vector<size_t> group_begin_;
-  std::vector<Interval> intervals_;
+  std::vector<uint32_t> rows_;
+  // The current group's aggregate inputs, p per row (0 for COUNT).
   std::vector<double> inputs_;
   size_t current_group_ = 0;
   bool group_active_ = false;
@@ -84,7 +87,7 @@ class ItaStream : public SegmentSource {
   // Per-group sweep state: the group's boundary events in time order.
   struct Event {
     Chronon time;
-    uint32_t row;  // index into intervals_
+    uint32_t row;  // the row's position within its group
     bool is_start;
   };
   std::vector<Event> events_;

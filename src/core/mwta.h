@@ -31,9 +31,11 @@ struct MwtaWindow {
 [[nodiscard]] Result<SequentialRelation> Mwta(const TemporalRelation& rel,
                                 const ItaSpec& spec, const MwtaWindow& window);
 
-/// Streaming MWTA. The returned stream is an ordinary SegmentSource, so
-/// gPTAc / gPTAε consume it directly (PTA over moving-window aggregates);
-/// like ItaStream it keeps no reference to the relation.
+/// Streaming MWTA; the relation must outlive the stream. The returned
+/// stream is an ordinary SegmentSource, so gPTAc / gPTAε consume it
+/// directly (PTA over moving-window aggregates).
+///
+/// Note: the stream owns an extended copy of the input tuples.
 [[nodiscard]] Result<std::unique_ptr<SegmentSource>> MwtaStream(const TemporalRelation& rel,
                                                   const ItaSpec& spec,
                                                   const MwtaWindow& window);

@@ -125,10 +125,8 @@ Result<T> ParseNumber(std::string_view cell) {
   errno = 0;
   if constexpr (kInt) v = std::strtoll(s.c_str(), &end, 10);
   else v = std::strtod(s.c_str(), &end);
-  if (*end != '\0') {
-    return Status::InvalidArgument(kInt ? "bad int64 cell: " + s
-                                        : "bad double cell: " + s);
-  }
+  const char* bad = kInt ? "bad int64 cell: " : "bad double cell: ";
+  if (*end != '\0') return Status::InvalidArgument(bad + s);
   if (kInt && errno == ERANGE) {
     return Status::InvalidArgument("int64 cell out of range: " + s);
   }
@@ -167,19 +165,12 @@ std::string RelationToCsv(const TemporalRelation& rel) {
   out += "tb,te\n";
   for (const Tuple& t : rel.tuples()) {
     for (const Value& v : t.values()) {
-      switch (v.type()) {
-        case ValueType::kDouble:
-          AppendNumber(&out, v.AsDoubleExact(), std::chars_format::general,
-                       17);
-          break;
-        case ValueType::kInt64:
-          AppendNumber(&out, v.AsInt64());
-          break;
-        case ValueType::kString:
-          AppendCell(v.AsString(), &out);
-          break;
-        case ValueType::kNull:
-          break;
+      if (v.type() == ValueType::kDouble) {
+        AppendNumber(&out, v.AsDoubleExact(), std::chars_format::general, 17);
+      } else if (v.type() == ValueType::kInt64) {
+        AppendNumber(&out, v.AsInt64());
+      } else if (!v.is_null()) {
+        AppendCell(v.AsString(), &out);
       }
       out += ',';
     }

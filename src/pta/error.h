@@ -44,8 +44,7 @@ Segment MergeSegments(const Segment& a, const Segment& b);
 /// segments with lengths la/lb and values va/vb:
 ///   dsim = sum_d w_d^2 * la*lb/(la+lb) * (va_d - vb_d)^2.
 /// Callers pass kInfiniteError semantics themselves when the segments are
-/// not adjacent; this function assumes adjacency. Inline: every merge
-/// heap re-key calls it.
+/// not adjacent; this function assumes adjacency.
 inline double Dsim(int64_t la, const double* va, int64_t lb,
                    const double* vb, size_t p, const double* weights) {
   const double coeff = static_cast<double>(la) * static_cast<double>(lb) /

@@ -11,18 +11,15 @@
 //    printf's %.17g, the format the writer promises.
 //
 // Flags (before the gtest flags), mirroring index_golden_test:
-//   --fixtures=DIR   fixture directory (default: $PTA_BATCH_FIXTURE_DIR,
-//                    falling back to "tests/fixtures/batch")
+//   --fixtures=DIR   fixture directory (default: "tests/fixtures/batch")
 //   --bless          rewrite every fixture from the in-process bytes
 //
-// Regenerate after an intended output change with:
-//   ./batch_golden_test --bless && git diff tests/fixtures/batch
+// Regenerate after an intended output change, from the repository root:
+//   ./build/tests/batch_golden_test --bless && git diff tests/fixtures/batch
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
@@ -213,9 +210,6 @@ TEST(HostileCsvTest, NullOrNonFiniteAggregateInputFailsOnEveryEngine) {
 }  // namespace pta
 
 int main(int argc, char** argv) {
-  if (const char* env = std::getenv("PTA_BATCH_FIXTURE_DIR")) {
-    pta::testing::g_fixture_dir = env;
-  }
   std::vector<char*> args;
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--fixtures=", 11) == 0) {
