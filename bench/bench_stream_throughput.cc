@@ -1,6 +1,8 @@
 // Streaming engine throughput: rows/second of StreamingPtaEngine as a
 // function of the ingest chunk size and the live-row budget, plus a
-// watermark-mode run measuring emission on an unbounded-style feed.
+// watermark-mode run measuring emission on an unbounded-style feed, plus a
+// time-major run over 1000 interleaved groups (the shape of perfbench's
+// stream_feed), where every row resolves its group afresh.
 //
 // Not a paper figure — this benchmarks the repo's own online subsystem
 // (docs/STREAMING.md). Stdout is JSON Lines so the records can be appended
@@ -9,7 +11,8 @@
 //   * with the watermark disabled, Finalize() is byte-identical to batch
 //     GreedyReduceToSize on the same input;
 //   * with an auto-watermark lag, peak live rows stay bounded by
-//     budget + lag + the read-ahead overshoot, independent of stream length.
+//     budget + lag + the read-ahead overshoot, independent of stream length
+//     (for the interleaved run: budget + lag * groups + one chunk).
 //
 // Usage: bench_stream_throughput [--quick]   (also honors PTA_BENCH_SCALE)
 
@@ -163,6 +166,50 @@ int main(int argc, char** argv) {
         ticks, options.size_budget, run.seconds, throughput,
         run.stats.max_live_rows, run.stats.merges, run.emitted,
         run.stats.merge_sse);
+  }
+
+  // Time-major feed over 1000 groups with an auto-watermark: each chunk
+  // touches ~1000 groups, so group lookup and sealing dominate.
+  {
+    constexpr size_t kDevices = 1000;
+    constexpr size_t kChunk = 1024;
+    constexpr int64_t kLag = 50;
+    const size_t ticks = bench::Scaled(1000, /*minimum=*/100);
+    const SequentialRelation devices =
+        GenerateSyntheticSequential(kDevices, ticks, kDims, /*seed=*/7);
+    SequentialRelation feed(kDims);
+    feed.Reserve(devices.size());
+    for (size_t t = 0; t < ticks; ++t) {
+      for (size_t g = 0; g < kDevices; ++g) {
+        const size_t row = g * ticks + t;
+        feed.Append(devices.group(row), devices.interval(row),
+                    devices.values(row));
+      }
+    }
+    StreamingOptions options;
+    options.size_budget = 20000;
+    options.auto_watermark_lag = kLag;
+    RunResult best;
+    for (int rep = 0; rep < 2; ++rep) {
+      RunResult run = RunOnce(feed, kChunk, options);
+      if (rep == 0 || run.seconds < best.seconds) best = std::move(run);
+    }
+    watermark_bounded =
+        watermark_bounded &&
+        best.stats.max_live_rows <=
+            options.size_budget + kLag * kDevices + kChunk + 1;
+    std::printf(
+        "{\"bench\": \"stream_throughput\", \"rows\": %zu, "
+        "\"groups\": %zu, \"order\": \"time_major\", "
+        "\"chunk_rows\": %zu, \"budget\": %zu, \"watermark_lag\": %lld, "
+        "\"wall_seconds\": %.4f, \"rows_per_second\": %.0f, "
+        "\"max_live_rows\": %zu, \"merges\": %zu, \"emitted_rows\": %zu, "
+        "\"sse\": %.6g}\n",
+        feed.size(), kDevices, kChunk, options.size_budget,
+        static_cast<long long>(kLag), best.seconds,
+        static_cast<double>(feed.size()) / best.seconds,
+        best.stats.max_live_rows, best.stats.merges, best.emitted,
+        best.stats.merge_sse);
   }
 
   std::printf(

@@ -6,15 +6,8 @@ namespace pta {
 
 namespace {
 
-// True when the top node satisfies the delta read-ahead heuristic
-// (Sec. 6.2.1): at least `delta` tuples follow it through adjacent pairs.
-// delta = infinity disables the heuristic entirely (only the provably safe
-// merge conditions remain), delta = 0 always allows merging.
-bool TopHasDeltaSuccessors(const MergeHeap& heap, size_t delta) {
-  if (delta == GreedyOptions::kDeltaInfinity) return false;
-  if (delta == 0) return true;
-  return heap.CountAdjacentSuccessorsOfTop(delta) >= delta;
-}
+static_assert(GreedyOptions::kDeltaInfinity == static_cast<size_t>(-1),
+              "MergeHeap::TopHasDeltaSuccessors tests this sentinel");
 
 void FillStats(const MergeHeap& heap, size_t merges, size_t early_merges,
                GreedyStats* stats) {
@@ -177,7 +170,7 @@ Result<Reduction> GreedyReduceToSize(SegmentSource& source, size_t c,
         ++merges;
         ++early_merges;
       } else if (top.id > last_gap_id &&
-                 TopHasDeltaSuccessors(heap, options.delta)) {
+                 heap.TopHasDeltaSuccessors(options.delta)) {
         --after_gap;
         total += heap.MergeTop();
         ++merges;
@@ -255,7 +248,7 @@ Result<Reduction> GreedyReduceToError(SegmentSource& source, double eps,
         ++merges;
         ++early_merges;
       } else if (top.id > last_gap_id &&
-                 TopHasDeltaSuccessors(heap, options.delta)) {
+                 heap.TopHasDeltaSuccessors(options.delta)) {
         --after_gap;
         total += heap.MergeTop();
         ++merges;

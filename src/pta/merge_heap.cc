@@ -86,7 +86,7 @@ void MergeHeap::HeapRemove(size_t pos) {
 
 void MergeHeap::SetKey(int32_t h, double key) {
   const int32_t pos = nodes_[h].heap_pos;
-  if (key == kInfiniteError) {
+  if (!(key < kInfiniteError)) {  // infinite or NaN: never merged
     if (pos >= 0) HeapRemove(static_cast<size_t>(pos));
     return;
   }
@@ -107,36 +107,56 @@ double MergeHeap::Insert(const Segment& seg, int64_t* id) {
 }
 
 double MergeHeap::Insert(const SegmentView& seg, int64_t* id) {
+  if (tail_ >= 0) {
+    const Node& tail = nodes_[tail_];
+    PTA_CHECK_MSG(tail.group < seg.group ||
+                      (tail.group == seg.group && tail.t.end < seg.t.begin),
+                  "segments must arrive sorted by group then time");
+  }
+  if (id != nullptr) *id = next_id_;
+  int32_t h;
+  const double key = Append(tail_, seg, seg.t.length(), next_id_++, &h);
+  if (tail_ < 0) head_ = h;
+  tail_ = h;
+  return key;
+}
+
+double MergeHeap::Append(int32_t tail, const SegmentView& seg,
+                         int64_t covered, int64_t id, int32_t* handle) {
   const int32_t h = AllocNode();
   Node& node = nodes_[h];
-  node.id = next_id_++;
+  node.id = id;
   node.group = seg.group;
   node.t = seg.t;
-  node.covered = seg.t.length();
-  node.prev = tail_;
+  node.covered = covered;
+  node.prev = tail;
   node.next = -1;
   std::copy(seg.values, seg.values + p_, ValuesOf(h));
-  if (tail_ >= 0) {
-    PTA_CHECK_MSG(
-        nodes_[tail_].group < seg.group ||
-            (nodes_[tail_].group == seg.group &&
-             nodes_[tail_].t.end < seg.t.begin),
-        "segments must arrive sorted by group then time");
-    nodes_[tail_].next = h;
-  } else {
-    head_ = h;
-  }
-  tail_ = h;
-  const double key = KeyFor(node.prev, h);
+  if (tail >= 0) nodes_[tail].next = h;
+  const double key = KeyFor(tail, h);
   SetKey(h, key);
-  if (id != nullptr) *id = nodes_[h].id;
+  *handle = h;
   return key;
+}
+
+void MergeHeap::RemoveHead(int32_t h) {
+  const Node& n = nodes_[h];
+  PTA_CHECK_MSG(n.prev < 0 && n.heap_pos < 0, "RemoveHead on a non-head");
+  if (n.next >= 0) {
+    nodes_[n.next].prev = -1;
+    SetKey(n.next, kInfiniteError);
+  }
+  if (head_ == h) head_ = n.next;
+  if (tail_ == h) tail_ = -1;
+  FreeNode(h);
 }
 
 MergeHeap::TopInfo MergeHeap::Peek() const {
   PTA_CHECK_MSG(!empty(), "Peek on empty heap");
-  if (heap_.empty()) return {nodes_[head_].id, kInfiniteError};
-  return {nodes_[heap_[0].node].id, heap_[0].key};
+  if (heap_.empty()) {
+    return {head_ < 0 ? 0 : nodes_[head_].id, kInfiniteError, head_};
+  }
+  return {nodes_[heap_[0].node].id, heap_[0].key, heap_[0].node};
 }
 
 double MergeHeap::MergeTop(MergeRecord* record) {
@@ -177,7 +197,7 @@ double MergeHeap::MergeTop(MergeRecord* record) {
   p.next = n.next;
   if (n.next >= 0) {
     nodes_[n.next].prev = ph;
-  } else {
+  } else if (tail_ == nh) {
     tail_ = ph;
   }
   FreeNode(nh);

@@ -29,6 +29,15 @@ namespace pta {
 /// an exact key tie reads the nodes' ids. Only finite-key nodes enter it: a
 /// node whose key is infinite (a chain head, or a group or gap boundary)
 /// can never be merged and waits outside until a re-key makes it finite.
+/// A NaN key is kept out the same way, so the array stays totally ordered.
+///
+/// Two ways to build chains. The batch engines Insert() one group-then-time
+/// ordered sequence, linked as a single chain whose group boundaries carry
+/// infinite keys. The streaming engine (stream/stream.h) keeps one chain per
+/// group, names each chain by its head and tail handles, Append()s rows to
+/// a chain's tail as they arrive and RemoveHead()s rows a watermark sealed.
+/// Both share the (key, id) merge order, MergeTop's Def. 3 fold and the
+/// re-keying of the two affected neighbours.
 class MergeHeap {
  public:
   /// Creates a heap for segments with p aggregate values and the given
@@ -43,6 +52,24 @@ class MergeHeap {
   struct TopInfo {
     int64_t id = 0;
     double key = kInfiniteError;
+    /// Handle of the node (-1 when no node is reported).
+    int32_t node = -1;
+  };
+
+  /// One chain node, read through node(). `group` is the caller's chain
+  /// tag: the batch engines store the group id, the streaming engine its
+  /// group slot.
+  struct Node {  // 48 bytes: no padding
+    /// Sequence id, the merge tie-breaker.
+    int64_t id = 0;
+    Interval t;
+    /// Chronons actually covered (== t.length() unless gap merging folded
+    /// segments across holes).
+    int64_t covered = 0;
+    int32_t group = 0;
+    int32_t prev = -1;
+    int32_t next = -1;
+    int32_t heap_pos = -1;  // -1 while the key is infinite
   };
 
   /// \brief One executed merge, as observed by MergeTop(MergeRecord*).
@@ -73,6 +100,24 @@ class MergeHeap {
   double Insert(const SegmentView& seg, int64_t* id = nullptr);
   double Insert(const Segment& seg, int64_t* id = nullptr);
 
+  /// Per-chain insertion: links `seg` after node `tail` (-1 starts a new
+  /// chain) with the given covered chronon count and sequence id, and
+  /// stores the new node's handle in *handle. The caller keeps each chain
+  /// chronological with ascending ids. Returns the node's key, as Insert.
+  double Append(int32_t tail, const SegmentView& seg, int64_t covered,
+                int64_t id, int32_t* handle);
+  /// Removes chain head h (a node without predecessor); its successor
+  /// becomes a chain head, whose key is infinite.
+  void RemoveHead(int32_t h);
+
+  const Node& node(int32_t h) const { return nodes_[h]; }
+  const double* values(int32_t h) const { return ValuesOf(h); }
+  /// Node h's current key (dsim with its predecessor, Prop. 2).
+  double key(int32_t h) const {
+    const int32_t pos = nodes_[h].heap_pos;
+    return pos < 0 ? KeyFor(nodes_[h].prev, h) : heap_[pos].key;
+  }
+
   /// Live nodes, finite-key or not.
   size_t size() const { return nodes_.size() - free_.size(); }
   bool empty() const { return size() == 0; }
@@ -81,7 +126,8 @@ class MergeHeap {
   /// Largest size() observed since construction (Fig. 20's metric).
   size_t max_size() const { return max_size_; }
 
-  /// Minimum-key node; requires a non-empty heap.
+  /// Minimum-key node; requires a non-empty heap. When no key is finite it
+  /// reports the batch chain's head (no node for per-chain use).
   TopInfo Peek() const;
 
   /// Merges the top node into its predecessor and returns the introduced
@@ -92,23 +138,19 @@ class MergeHeap {
   /// Counts successors of the top node connected to it by a chain of
   /// adjacent pairs, stopping at `limit` (the gPTA δ check).
   size_t CountAdjacentSuccessorsOfTop(size_t limit) const;
+  /// The δ read-ahead heuristic (Sec. 6.2.1): true when at least `delta`
+  /// successors follow the top node through adjacent pairs. delta = 0
+  /// always allows merging; GreedyOptions::kDeltaInfinity never does (only
+  /// the provably safe merge conditions remain).
+  bool TopHasDeltaSuccessors(size_t delta) const {
+    if (delta == static_cast<size_t>(-1)) return false;
+    return delta == 0 || CountAdjacentSuccessorsOfTop(delta) >= delta;
+  }
 
   /// Remaining segments as a SequentialRelation (group keys not attached).
   SequentialRelation ExtractRelation() const;
 
  private:
-  struct Node {  // 48 bytes: no padding
-    int64_t id = 0;
-    Interval t;
-    /// Chronons actually covered (== t.length() unless gap merging folded
-    /// segments across holes).
-    int64_t covered = 0;
-    int32_t group = 0;
-    int32_t prev = -1;
-    int32_t next = -1;
-    int32_t heap_pos = -1;  // -1 while the key is infinite
-  };
-
   /// One heap slot: a finite-key node and its key.
   struct Entry {
     double key;
@@ -135,8 +177,8 @@ class MergeHeap {
 
   /// dsim of node b with its predecessor a; infinity if not adjacent.
   double KeyFor(int32_t a, int32_t b) const;
-  /// The minimum node: the heap root, or the chain head (whose key is
-  /// infinite and whose id is the smallest) when no key is finite.
+  /// The minimum node: the heap root, or the batch chain's head (whose key
+  /// is infinite and whose id is the smallest) when no key is finite.
   int32_t TopNode() const { return heap_.empty() ? head_ : heap_[0].node; }
 
   int32_t AllocNode();
@@ -155,6 +197,7 @@ class MergeHeap {
   std::vector<double> values_;   // nodes_.size() * p_
   std::vector<int32_t> free_;    // recycled node handles
   std::vector<Entry> heap_;      // finite-key nodes as a 4-ary min-heap
+  // The chain Insert() builds; per-chain Append() leaves both at -1.
   int32_t head_ = -1;
   int32_t tail_ = -1;
   int64_t next_id_ = 1;

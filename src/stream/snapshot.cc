@@ -5,12 +5,12 @@
 // watermark, Prop. 3 counters, stats, per-group pending emissions, and the
 // live merge chains with their node ids (the merge tie-breaker), covered
 // chronon counts, and current keys. Reconstruction artifacts (chain links,
-// heap candidates, node versions, slot numbers) are rebuilt, not stored:
-// a restored engine's valid-candidate set is exactly the live finite-key
-// nodes, which is also what the original engine's heap reduces to after
-// lazy invalidation, so the replay is byte-identical to an uninterrupted
-// run. Every restored key is recomputed with KeyFor and verified against
-// the stored bits, turning any inconsistency into a structured error.
+// heap positions, node handles, group slots) are rebuilt, not stored: the
+// indexed merge heap holds exactly the live finite-key nodes, ordered by
+// (key, id), in the original and in the restored engine alike, so the
+// replay is byte-identical to an uninterrupted run. Every restored key is
+// recomputed as its node is linked and verified against the stored bits,
+// turning any inconsistency into a structured error.
 //
 // Format version 1 ("PTASNAPS", little-endian, Checksum64 footer); the
 // byte layout is documented in docs/PERSISTENCE.md.
@@ -51,7 +51,7 @@ uint64_t BitsOf(double v) {
 
 std::string StreamingPtaEngine::SaveSnapshot() const {
   std::string out;
-  out.reserve(kHeaderBytes + (pending_ + live_) * (32 + 8 * p_) +
+  out.reserve(kHeaderBytes + (pending_ + heap_.size()) * (32 + 8 * p_) +
               64 * groups_.size() + 128);
   io::ByteWriter w(&out);
 
@@ -65,7 +65,7 @@ std::string StreamingPtaEngine::SaveSnapshot() const {
   w.U64(options_.size_budget);
   w.U64(options_.delta);
   w.U64(options_.weights.size());
-  w.U64(groups_.size());
+  w.U64(order_.size());
 
   w.I64(options_.auto_watermark_lag);
   w.I64(watermark_);
@@ -84,25 +84,26 @@ std::string StreamingPtaEngine::SaveSnapshot() const {
 
   w.F64Array(options_.weights.data(), options_.weights.size());
 
-  for (const auto& [group_id, group] : groups_) {
-    w.I32(group_id);
-    w.U64(group.pending.size());
+  for (const int32_t slot : order_) {
+    const Group& group = groups_[slot];
+    w.I32(group.id);
+    w.U64(group.pending_t.size());
     size_t chain = 0;
-    for (int32_t h = group.head; h >= 0; h = nodes_[h].next) ++chain;
+    for (int32_t h = group.head; h >= 0; h = heap_.node(h).next) ++chain;
     w.U64(chain);
-    for (const Segment& seg : group.pending) {
-      w.I64(seg.t.begin);
-      w.I64(seg.t.end);
-      w.F64Array(seg.values.data(), seg.values.size());
+    for (size_t i = 0; i < group.pending_t.size(); ++i) {
+      w.I64(group.pending_t[i].begin);
+      w.I64(group.pending_t[i].end);
+      w.F64Array(group.pending_values.data() + i * p_, p_);
     }
-    for (int32_t h = group.head; h >= 0; h = nodes_[h].next) {
-      const Node& node = nodes_[h];
+    for (int32_t h = group.head; h >= 0; h = heap_.node(h).next) {
+      const MergeHeap::Node& node = heap_.node(h);
       w.I64(node.id);
       w.I64(node.t.begin);
       w.I64(node.t.end);
       w.I64(node.covered);
-      w.F64(node.key);
-      w.F64Array(ValuesOf(h), p_);
+      w.F64(heap_.key(h));
+      w.F64Array(heap_.values(h), p_);
     }
   }
 
@@ -211,13 +212,14 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
 
   if (!r.Fits(num_groups, 20)) return Corrupt("group section overflow");
   int64_t prev_group = std::numeric_limits<int64_t>::min();
+  std::vector<double> row;
   for (uint64_t g = 0; g < num_groups; ++g) {
     int32_t group_id;
     uint64_t num_pending, num_chain;
     if (!r.I32(&group_id) || !r.U64(&num_pending) || !r.U64(&num_chain)) {
       return Corrupt("truncated group header");
     }
-    // Strictly ascending group ids keep the std::map insertion cheap and
+    // Strictly ascending group ids give the slots their output order and
     // reject duplicate groups in one check.
     if (group_id <= prev_group) {
       return Corrupt("group ids not strictly ascending");
@@ -227,89 +229,65 @@ StreamingPtaEngine::RestoreSnapshot(std::string_view bytes) {
       return Corrupt("group without state");
     }
     // One pending row needs 16 + 8p bytes, one chain node 40 + 8p; bound
-    // both counts by the cheapest field so the loops below cannot be
-    // driven past the buffer (each iteration still bounds-checks).
-    if (!r.Fits(num_pending, 16) || !r.Fits(num_chain, 40)) {
+    // both counts by their row size so the reservations and loops below
+    // cannot be driven past the buffer (each read still bounds-checks).
+    if (!r.Fits(num_pending, 16 + 8 * p) || !r.Fits(num_chain, 40 + 8 * p)) {
       return Corrupt("group row counts overflow");
     }
 
-    Group& group = engine->groups_[group_id];
-    group.pending.reserve(static_cast<size_t>(num_pending));
+    const int32_t slot = static_cast<int32_t>(engine->groups_.size());
+    engine->order_.push_back(slot);
+    Group& group = engine->groups_.emplace_back();
+    group.id = group_id;
+    group.pending_t.reserve(static_cast<size_t>(num_pending));
+    group.pending_values.reserve(static_cast<size_t>(num_pending * p));
     for (uint64_t i = 0; i < num_pending; ++i) {
-      Segment seg;
-      seg.group = group_id;
-      if (!r.I64(&seg.t.begin) || !r.I64(&seg.t.end) ||
-          !r.F64Array(p, &seg.values)) {
+      Interval t;
+      if (!r.I64(&t.begin) || !r.I64(&t.end) || !r.F64Array(p, &row)) {
         return Corrupt("truncated pending rows");
       }
-      if (seg.t.begin > seg.t.end) return Corrupt("inverted pending interval");
-      group.pending.push_back(std::move(seg));
+      if (t.begin > t.end) return Corrupt("inverted pending interval");
+      group.pending_t.push_back(t);
+      group.pending_values.insert(group.pending_values.end(), row.begin(),
+                                  row.end());
       ++engine->pending_;
     }
 
-    int32_t prev = -1;
-    std::vector<double> row;
     for (uint64_t i = 0; i < num_chain; ++i) {
-      int64_t id, begin, end, covered;
+      int64_t id, covered;
+      Interval t;
       double key;
-      if (!r.I64(&id) || !r.I64(&begin) || !r.I64(&end) || !r.I64(&covered) ||
-          !r.F64(&key)) {
+      if (!r.I64(&id) || !r.I64(&t.begin) || !r.I64(&t.end) ||
+          !r.I64(&covered) || !r.F64(&key)) {
         return Corrupt("truncated chain nodes");
       }
-      if (begin > end) return Corrupt("inverted chain interval");
-      if (covered < 1 || covered > end - begin + 1) {
+      if (t.begin > t.end) return Corrupt("inverted chain interval");
+      if (covered < 1 || covered > t.end - t.begin + 1) {
         return Corrupt("implausible covered chronon count");
       }
       if (id < 1 || id >= next_id) return Corrupt("node id out of range");
-      if (prev >= 0) {
-        const Node& before = engine->nodes_[prev];
-        if (before.t.end >= begin) {
+      if (group.tail >= 0) {
+        const MergeHeap::Node& before = engine->heap_.node(group.tail);
+        if (before.t.end >= t.begin) {
           return Corrupt("chain intervals overlap or are unsorted");
         }
         if (before.id >= id) return Corrupt("chain ids not ascending");
       }
-      const int32_t h = engine->AllocNode();
-      Node& node = engine->nodes_[h];
-      node.id = id;
-      node.group = group_id;
-      node.t.begin = begin;
-      node.t.end = end;
-      node.covered = covered;
-      node.prev = prev;
-      node.next = -1;
-      node.alive = true;
-      node.key = key;
       if (!r.F64Array(p, &row)) return Corrupt("truncated chain values");
-      if (p > 0) {
-        std::memcpy(engine->ValuesOf(h), row.data(),
-                    static_cast<size_t>(p) * sizeof(double));
-      }
-      if (prev >= 0) {
-        engine->nodes_[prev].next = h;
-      } else {
-        group.head = h;
-      }
-      group.tail = h;
-      prev = h;
-      ++engine->live_;
-    }
-
-    // Keys are behavior: verify every stored key against a bitwise
-    // recomputation so the restored heap can only ever order the exact
-    // same candidates the uninterrupted engine would.
-    for (int32_t h = group.head; h >= 0; h = engine->nodes_[h].next) {
-      const double expect =
-          engine->KeyFor(engine->nodes_[h].prev, h);
-      if (BitsOf(expect) != BitsOf(engine->nodes_[h].key)) {
+      int32_t h;
+      // Keys are behavior: the recomputation must match the stored bits,
+      // so the restored heap can only ever order the exact same pairs the
+      // uninterrupted engine would.
+      const double expect = engine->heap_.Append(
+          group.tail, SegmentView{slot, t, row.data()}, covered, id, &h);
+      if (BitsOf(expect) != BitsOf(key)) {
         return Corrupt("stored merge key does not match its recomputation");
       }
-      if (engine->nodes_[h].key < kInfiniteError) {
-        engine->heap_.push(Candidate{engine->nodes_[h].key,
-                                     engine->nodes_[h].id, h,
-                                     engine->nodes_[h].version});
-      }
+      if (group.tail < 0) group.head = h;
+      group.tail = h;
     }
   }
+  engine->RebuildIndex();
   if (r.remaining() != 0) return Corrupt("trailing bytes after snapshot");
 
   return engine;

@@ -11,9 +11,10 @@
 //     so a live feed does not have to be group-major like a materialized
 //     SequentialRelation;
 //   * merge candidates are ordered by the paper's Δ-cost (dsim, Prop. 2)
-//     in a lazy-invalidation min-heap: stale entries are discarded on pop
-//     instead of being re-sifted eagerly like pta/merge_heap.* does, which
-//     keeps per-ingest work O(log live) without intrusive heap positions;
+//     in the batch engines' indexed merge heap (pta/merge_heap.h): every
+//     group is one chain of that heap, a fold re-keys its two neighbours
+//     in place, and the heap array holds exactly the live finite-key
+//     pairs, so per-ingest work is O(log live) with no stale entries;
 //   * a watermark (AdvanceWatermark) finalizes rows that can no longer
 //     meet any future arrival and moves them to an emission buffer the
 //     caller drains with TakeEmitted — this is what bounds memory on an
@@ -39,11 +40,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <map>
 #include <memory>
-#include <queue>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +49,7 @@
 #include "core/interval.h"
 #include "pta/error.h"
 #include "pta/greedy.h"
+#include "pta/merge_heap.h"
 #include "pta/segment.h"
 // StreamingOptions lives in the pta layer so the query planner can carry
 // streaming tuning without depending on this library.
@@ -93,8 +92,10 @@ class StreamingPtaEngine {
   /// Ingests one segment. Within a group, segments must arrive
   /// chronologically with disjoint intervals; groups may interleave
   /// freely. Segments must not begin before the current watermark.
-  /// Fails with FailedPrecondition on ordering violations, after which the
-  /// engine state is unchanged (the offending segment is dropped).
+  /// Fails with InvalidArgument on a wrong arity, an inverted interval
+  /// (begin > end) or a NaN/infinite value, and with FailedPrecondition on
+  /// ordering violations; either way the engine state is unchanged (the
+  /// offending segment is dropped).
   [[nodiscard]] Status Ingest(const Segment& seg);
 
   /// Ingests every segment of `chunk` in order, then applies the
@@ -146,16 +147,15 @@ class StreamingPtaEngine {
   std::string SaveSnapshot() const;
 
   /// Rebuilds an engine from SaveSnapshot bytes. Chain links, heap
-  /// candidates, and node versions are reconstructed; every restored key
-  /// is recomputed with KeyFor and verified bitwise against the stored
-  /// one. Malformed input (truncation, bit flips, bad magic, future
-  /// version, structural lies) is rejected as InvalidArgument, never a
-  /// crash.
+  /// positions and group slots are reconstructed; every restored key is
+  /// recomputed and verified bitwise against the stored one. Malformed
+  /// input (truncation, bit flips, bad magic, future version, structural
+  /// lies) is rejected as InvalidArgument, never a crash.
   [[nodiscard]] static Result<std::unique_ptr<StreamingPtaEngine>> RestoreSnapshot(
       std::string_view bytes);
 
   /// Live (unsealed, unfinalized) rows currently held.
-  size_t live_rows() const { return live_; }
+  size_t live_rows() const { return heap_.size(); }
   /// Rows sealed but not yet taken by TakeEmitted().
   size_t pending_rows() const { return pending_; }
   /// Cumulative SSE introduced by merging, equal (up to floating-point
@@ -164,98 +164,65 @@ class StreamingPtaEngine {
   const StreamingStats& stats() const { return stats_; }
 
  private:
-  struct Node {
-    int64_t id = 0;  // global insertion sequence, the merge tie-breaker
-    int32_t group = 0;
-    Interval t;
-    int64_t covered = 0;  // chronons actually covered (gap merging)
-    int32_t prev = -1;    // within the group chain
-    int32_t next = -1;
-    uint32_t version = 0;  // bumped whenever key/values change or node dies
-    double key = kInfiniteError;  // dsim with prev; infinity at chain heads
-    bool alive = false;
-  };
-
-  /// One lazily-invalidated candidate: valid iff the node is alive and its
-  /// version still matches. Ordered by (key, id) — the same deterministic
-  /// tie-break as pta/merge_heap.* (smallest timestamp merges first).
-  struct Candidate {
-    double key = kInfiniteError;
-    int64_t id = 0;
-    int32_t node = -1;
-    uint32_t version = 0;
-    bool operator>(const Candidate& other) const {
-      if (key != other.key) return key > other.key;
-      return id > other.id;
-    }
-  };
-
+  /// One group: its merge chain in heap_ and its sealed rows. Chain nodes
+  /// carry the group's slot in groups_ as their MergeHeap group tag.
   struct Group {
+    int32_t id = 0;
     int32_t head = -1;
     int32_t tail = -1;
     /// Sealed rows awaiting TakeEmitted, chronologically ordered; always a
-    /// prefix of the group's history before the live chain.
-    std::vector<Segment> pending;
+    /// prefix of the group's history before the live chain. Flat: one
+    /// interval and p values per row.
+    std::vector<Interval> pending_t;
+    std::vector<double> pending_values;
   };
 
-  double* ValuesOf(int32_t h) {
-    return values_.data() + static_cast<size_t>(h) * p_;
-  }
-  const double* ValuesOf(int32_t h) const {
-    return values_.data() + static_cast<size_t>(h) * p_;
-  }
+  /// One slot of the group index: a group id and its slot in groups_.
+  struct IndexEntry {
+    int32_t group = 0;
+    int32_t slot = -1;  // -1: empty
+  };
 
-  /// True if b may fold into its chain predecessor a (same group by chain
-  /// construction; gap merging lifts the meets requirement).
-  bool Mergeable(const Node& a, const Node& b) const {
-    return options_.merge_across_gaps || a.t.MeetsBefore(b.t);
-  }
-
-  /// dsim of node b with its chain predecessor a; infinity if absent or
-  /// non-adjacent. Identical arithmetic to MergeHeap::KeyFor.
-  double KeyFor(int32_t a, int32_t b) const;
-
-  int32_t AllocNode();
-  void FreeNode(int32_t h);
-  /// Updates h's key and pushes a fresh candidate when it is finite.
-  void SetKey(int32_t h, double new_key);
-  /// Discards stale heap entries; returns the valid minimum candidate or
-  /// false when no finite-key pair exists.
-  bool PeekTop(Candidate* top);
-  /// Folds `top.node` into its chain predecessor (Def. 3) and re-keys the
-  /// two affected neighbours. Returns the introduced error.
-  double MergeCandidate(const Candidate& top, Group& group);
+  /// Validates and ingests one row; `values` points at p doubles.
+  Status IngestRow(int32_t group_id, Interval t, const double* values);
+  /// Slot of group `group_id` in groups_, or -1 if it holds no state.
+  int32_t FindGroup(int32_t group_id) const;
+  /// Starts tracking group `group_id`; returns its slot.
+  int32_t AddGroup(int32_t group_id);
+  /// Rebuilds index_ over the tracked groups, at least twice their count.
+  void RebuildIndex();
+  /// Enters a tracked group's slot into index_ (which has a free entry).
+  void IndexPut(int32_t slot);
+  /// Folds the top node into its chain predecessor (Def. 3).
+  void MergeTop(const MergeHeap::TopInfo& top);
   /// The gPTAc ingest-time merge loop (Prop. 3 + δ read-ahead).
   void MergeWhileOverBudget();
-  /// True when `delta` adjacent successors follow `h` in its chain.
-  bool HasDeltaSuccessors(int32_t h) const;
-  /// Rebuilds the candidate heap from live keys when stale entries
-  /// dominate (keeps heap memory proportional to live rows).
-  void CompactHeapIfNeeded();
   /// Seals every live prefix row of `group` that is settled under
   /// watermark `w`.
   void SealSettledPrefix(Group& group, Chronon w);
+  /// Appends every pending row to *out (when non-null) in group id order,
+  /// clears them, and releases the groups left without state.
+  void DrainPending(SequentialRelation* out);
 
   size_t p_;
   StreamingOptions options_;
-  std::vector<double> weights_;
+  MergeHeap heap_;
 
-  std::vector<Node> nodes_;
-  std::vector<double> values_;  // nodes_.size() * p_
-  std::vector<int32_t> free_;
-  std::priority_queue<Candidate, std::vector<Candidate>,
-                      std::greater<Candidate>>
-      heap_;
-  /// Group id -> chain + emission state, ordered so extraction is
-  /// deterministically group-major.
-  std::map<int32_t, Group> groups_;
+  /// Tracked groups by slot; released slots are reused.
+  std::vector<Group> groups_;
+  std::vector<int32_t> free_slots_;
+  /// Slots of the tracked groups in ascending group id: the order of every
+  /// output pass.
+  std::vector<int32_t> order_;
+  /// Group id -> slot, open addressing with linear probing; the capacity
+  /// is a power of two at least twice the number of tracked groups.
+  std::vector<IndexEntry> index_;
 
   // gPTAc Prop. 3 bookkeeping over global insertion order (greedy.cc).
   int64_t last_gap_id_ = 0;
   int64_t before_gap_ = 0;
   int64_t after_gap_ = 0;
 
-  size_t live_ = 0;
   size_t pending_ = 0;
   Chronon watermark_ = kNoWatermark;
   Chronon max_begin_seen_ = kNoWatermark;

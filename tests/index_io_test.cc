@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "stream/stream.h"
 #include "test_util.h"
 #include "util/binio.h"
+#include "util/random.h"
 
 namespace pta {
 namespace {
@@ -406,6 +408,116 @@ TEST(IndexIoSnapshotTest, FinalizedStateRoundTrips) {
   // further ingestion fail exactly like on the original.
   EXPECT_EQ((*restored)->Finalize().status().code(),
             StatusCode::kFailedPrecondition);
+
+  // Groups whose rows were all sealed and then returned by Finalize hold
+  // no state afterwards; the finalized snapshot must still restore.
+  StreamingPtaEngine sealed(1, options);
+  Segment seg;
+  seg.values = {1.0};
+  for (int32_t g = 0; g < 3; ++g) {
+    seg.group = g;
+    seg.t = Interval(10 * g, 10 * g + 2);
+    ASSERT_TRUE(sealed.Ingest(seg).ok());
+  }
+  ASSERT_TRUE(sealed.AdvanceWatermark(1000).ok());
+  auto final_rows = sealed.Finalize();
+  ASSERT_TRUE(final_rows.ok());
+  EXPECT_EQ(final_rows->size(), 3u);
+  auto sealed_restored =
+      StreamingPtaEngine::RestoreSnapshot(sealed.SaveSnapshot());
+  ASSERT_TRUE(sealed_restored.ok()) << sealed_restored.status().ToString();
+  EXPECT_EQ((*sealed_restored)->live_rows(), 0u);
+  EXPECT_EQ((*sealed_restored)->pending_rows(), 0u);
+  EXPECT_TRUE((*sealed_restored)->Snapshot().empty());
+  EXPECT_EQ((*sealed_restored)->Finalize().status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// A time-major feed over sparse group ids (negative, both int32 extremes,
+// gaps between ids), with the auto-watermark on: groups finish, are
+// released by TakeEmitted, and re-appear later. Saving and restoring after
+// every chunk must not change a single emitted bit, the error, or a stat.
+TEST(IndexIoSnapshotTest, InterleavedWatermarkedFeedReplaysAcrossRestores) {
+  const std::vector<int32_t> ids = {std::numeric_limits<int32_t>::min(),
+                                    -70000, -3, 0, 5, 6, 1000,
+                                    std::numeric_limits<int32_t>::max()};
+  constexpr Chronon kTicks = 120;
+  constexpr size_t kChunkRows = 7;
+  Random rng(29);
+  std::vector<Segment> arrival;
+  std::vector<double> level(ids.size(), 10.0);
+  for (Chronon t = 0; t < kTicks; ++t) {
+    for (size_t g = 0; g < ids.size(); ++g) {
+      // Each group pauses for a stretch far longer than the watermark lag,
+      // so it is sealed, released, and later arrives again as a new group.
+      if ((t / 20 + g) % 3 == 0) continue;
+      if ((t * 7 + g) % 11 == 0) continue;  // short gaps inside a stretch
+      Segment seg;
+      seg.group = ids[g];
+      seg.t = Interval(t, t);
+      level[g] += rng.Uniform(-1.0, 1.0);
+      seg.values = {level[g], 0.5 * level[g]};
+      arrival.push_back(std::move(seg));
+    }
+  }
+
+  StreamingOptions options;
+  options.size_budget = 10;
+  options.auto_watermark_lag = 3;
+  StreamingPtaEngine uninterrupted(2, options);
+  std::unique_ptr<StreamingPtaEngine> resumed =
+      std::make_unique<StreamingPtaEngine>(2, options);
+  size_t returns = 0;
+  std::vector<bool> seen(ids.size(), false);
+  std::vector<bool> ever_seen(ids.size(), false);
+  for (size_t from = 0; from < arrival.size(); from += kChunkRows) {
+    SequentialRelation chunk(2);
+    for (size_t i = from; i < std::min(from + kChunkRows, arrival.size());
+         ++i) {
+      chunk.Append(arrival[i]);
+    }
+    ASSERT_TRUE(uninterrupted.IngestChunk(chunk).ok());
+    ASSERT_TRUE(resumed->IngestChunk(chunk).ok());
+    const SequentialRelation expected = uninterrupted.TakeEmitted();
+    const SequentialRelation got = resumed->TakeEmitted();
+    EXPECT_TRUE(got.BitwiseEquals(expected)) << "chunk at row " << from;
+
+    auto restored =
+        StreamingPtaEngine::RestoreSnapshot(resumed->SaveSnapshot());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    resumed = std::move(*restored);
+
+    // Count groups that come back after TakeEmitted released them (a
+    // group absent from the summary holds no state).
+    const SequentialRelation live = uninterrupted.Snapshot();
+    for (size_t g = 0; g < ids.size(); ++g) {
+      bool present = false;
+      for (size_t i = 0; i < live.size(); ++i) {
+        present |= live.group(i) == ids[g];
+      }
+      if (present && !seen[g] && ever_seen[g]) ++returns;
+      seen[g] = present;
+      ever_seen[g] = ever_seen[g] || present;
+    }
+  }
+  EXPECT_GE(returns, ids.size());
+
+  auto expected = uninterrupted.Finalize();
+  auto got = resumed->Finalize();
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got->BitwiseEquals(*expected));
+  EXPECT_EQ(Bits(resumed->total_error()), Bits(uninterrupted.total_error()));
+  const StreamingStats& a = resumed->stats();
+  const StreamingStats& b = uninterrupted.stats();
+  EXPECT_EQ(a.ingested, b.ingested);
+  EXPECT_EQ(a.merges, b.merges);
+  EXPECT_EQ(a.early_merges, b.early_merges);
+  EXPECT_EQ(a.emitted, b.emitted);
+  EXPECT_EQ(a.max_live_rows, b.max_live_rows);
+  EXPECT_EQ(Bits(a.merge_sse), Bits(b.merge_sse));
+  EXPECT_GT(b.emitted, 0u);
+  EXPECT_GT(b.merges, 0u);
 }
 
 TEST(IndexIoSnapshotTest, MalformedSnapshotBytesAreRejected) {

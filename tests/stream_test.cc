@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <string>
 
 #include "pta/greedy.h"
 #include "stream/sharded_stream.h"
@@ -426,11 +428,32 @@ TEST(StreamStateTest, RejectsMalformedIngestAndPreservesState) {
   // Overlap with the group tail.
   seg.t = Interval(4, 6);
   EXPECT_FALSE(engine.Ingest(seg).ok());
+  // Inverted intervals and NaN/infinite values, by row and by chunk, in an
+  // existing group and in a new one.
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Segment> malformed = {
+      {0, Interval(9, 7), {1.0, 2.0}},  {3, Interval(5, 2), {2.0, 2.0}},
+      {0, Interval(5, 6), {kNan, 2.0}}, {0, Interval(5, 6), {1.0, kInf}},
+      {4, Interval(1, 1), {-kInf, 0.0}}, {4, Interval(1, 1), {0.0, kNan}}};
+  const std::string before = engine.SaveSnapshot();
+  for (const Segment& row : malformed) {
+    EXPECT_EQ(engine.Ingest(row).code(), StatusCode::kInvalidArgument)
+        << row.group << " " << row.t.begin << ".." << row.t.end;
+    SequentialRelation chunk(2);
+    chunk.Append(row);
+    EXPECT_EQ(engine.IngestChunk(chunk).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(engine.SaveSnapshot(), before);
   // The engine still works after rejections.
   seg.t = Interval(5, 6);
   EXPECT_TRUE(engine.Ingest(seg).ok());
   EXPECT_EQ(engine.live_rows(), 2u);
   EXPECT_EQ(engine.stats().ingested, 2u);
+  auto out = engine.Finalize();
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 2u);
+  EXPECT_EQ(out->interval(1), Interval(5, 6));
 }
 
 TEST(StreamStateTest, FinalizeIsTerminal) {
