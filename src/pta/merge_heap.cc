@@ -153,10 +153,8 @@ void MergeHeap::RemoveHead(int32_t h) {
 
 MergeHeap::TopInfo MergeHeap::Peek() const {
   PTA_CHECK_MSG(!empty(), "Peek on empty heap");
-  if (heap_.empty()) {
-    return {head_ < 0 ? 0 : nodes_[head_].id, kInfiniteError, head_};
-  }
-  return {nodes_[heap_[0].node].id, heap_[0].key, heap_[0].node};
+  if (heap_.empty()) return {head_ < 0 ? 0 : nodes_[head_].id, kInfiniteError};
+  return {nodes_[heap_[0].node].id, heap_[0].key};
 }
 
 double MergeHeap::MergeTop(MergeRecord* record) {

@@ -52,8 +52,6 @@ class MergeHeap {
   struct TopInfo {
     int64_t id = 0;
     double key = kInfiniteError;
-    /// Handle of the node (-1 when no node is reported).
-    int32_t node = -1;
   };
 
   /// One chain node, read through node(). `group` is the caller's chain
@@ -127,8 +125,11 @@ class MergeHeap {
   size_t max_size() const { return max_size_; }
 
   /// Minimum-key node; requires a non-empty heap. When no key is finite it
-  /// reports the batch chain's head (no node for per-chain use).
+  /// reports the batch chain's head (id 0 for per-chain use).
   TopInfo Peek() const;
+  /// Handle of the node Peek() reports (-1 for per-chain use when no key is
+  /// finite).
+  int32_t TopNode() const { return heap_.empty() ? head_ : heap_[0].node; }
 
   /// Merges the top node into its predecessor and returns the introduced
   /// error (its key). Requires the top key to be finite. When `record` is
@@ -177,9 +178,6 @@ class MergeHeap {
 
   /// dsim of node b with its predecessor a; infinity if not adjacent.
   double KeyFor(int32_t a, int32_t b) const;
-  /// The minimum node: the heap root, or the batch chain's head (whose key
-  /// is infinite and whose id is the smallest) when no key is finite.
-  int32_t TopNode() const { return heap_.empty() ? head_ : heap_[0].node; }
 
   int32_t AllocNode();
   void FreeNode(int32_t h);

@@ -73,10 +73,11 @@ int32_t StreamingPtaEngine::AddGroup(int32_t group_id) {
   return slot;
 }
 
-void StreamingPtaEngine::MergeTop(const MergeHeap::TopInfo& top) {
-  const MergeHeap::Node& node = heap_.node(top.node);
+void StreamingPtaEngine::MergeTop() {
+  const int32_t h = heap_.TopNode();
+  const MergeHeap::Node& node = heap_.node(h);
   Group& group = groups_[node.group];
-  if (group.tail == top.node) group.tail = node.prev;
+  if (group.tail == h) group.tail = node.prev;
   stats_.merge_sse += heap_.MergeTop();
   ++stats_.merges;
 }
@@ -115,7 +116,7 @@ void StreamingPtaEngine::MergeWhileOverBudget() {
     } else {
       break;
     }
-    MergeTop(top);
+    MergeTop();
     ++stats_.early_merges;
   }
 }
@@ -323,7 +324,7 @@ Result<SequentialRelation> StreamingPtaEngine::Finalize() {
   while (heap_.size() > options_.size_budget) {
     const MergeHeap::TopInfo top = heap_.Peek();
     if (top.key == kInfiniteError) break;
-    MergeTop(top);
+    MergeTop();
   }
   SequentialRelation out = Snapshot();
   DrainPending(nullptr);

@@ -194,7 +194,7 @@ class StreamingPtaEngine {
   /// Enters a tracked group's slot into index_ (which has a free entry).
   void IndexPut(int32_t slot);
   /// Folds the top node into its chain predecessor (Def. 3).
-  void MergeTop(const MergeHeap::TopInfo& top);
+  void MergeTop();
   /// The gPTAc ingest-time merge loop (Prop. 3 + δ read-ahead).
   void MergeWhileOverBudget();
   /// Seals every live prefix row of `group` that is settled under
