@@ -13,10 +13,12 @@
 //   * the builder result is byte-identical to the direct result;
 //   * the planner overhead stays small (< 5% — the acceptance target is
 //     < 1%, and the recorded numbers show it; the looser gate absorbs
-//     scheduler noise on loaded CI hosts).
+//     scheduler noise on loaded CI hosts). The overhead is the median of
+//     the builder/direct time ratios over interleaved pairs of runs.
 //
 // Usage: bench_query_engines [--quick]   (also honors PTA_BENCH_SCALE)
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,31 +38,55 @@ using namespace pta;
 
 using bench::ExactlyEqual;
 
-constexpr int kReps = 3;  // best-of, to damp scheduler noise
+// Interleaved direct/builder pairs per engine, after one untimed warm-up
+// pair. Each pair runs its two calls back to back, alternating which goes
+// first, so drift in host speed (frequency, co-tenants) hits both alike.
+constexpr int kPairs = 15;
 
-// Best wall time of kReps runs of fn(), with fn's last result kept.
-template <typename Fn>
-double BestOf(Fn&& fn, SequentialRelation* out) {
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Stopwatch watch;
-    *out = fn();
-    const double seconds = watch.ElapsedSeconds();
-    if (rep == 0 || seconds < best) best = seconds;
-  }
-  return best;
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 struct EngineRow {
   const char* name;
-  double direct_seconds = 0.0;
-  double builder_seconds = 0.0;
+  double direct_seconds = 0.0;   // median over the pairs
+  double builder_seconds = 0.0;  // median over the pairs
+  double median_ratio = 1.0;     // median of builder / direct per pair
   bool identical = false;
-  double overhead_percent() const {
-    if (direct_seconds <= 0.0) return 0.0;
-    return 100.0 * (builder_seconds - direct_seconds) / direct_seconds;
-  }
+  double overhead_percent() const { return 100.0 * (median_ratio - 1.0); }
 };
+
+// Runs `direct` and `builder` in kPairs interleaved pairs and fills `row`;
+// the gate reads the median of the per-pair ratios, not a ratio of two
+// independently taken best-ofs.
+template <typename Direct, typename Builder>
+void TimePairs(Direct&& direct, Builder&& builder, EngineRow* row) {
+  SequentialRelation direct_out = direct();
+  SequentialRelation builder_out = builder();
+  row->identical = ExactlyEqual(direct_out, builder_out);
+  std::vector<double> direct_s, builder_s, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    double seconds[2] = {0.0, 0.0};
+    for (int k = 0; k < 2; ++k) {
+      const bool run_direct = (k == 0) == (pair % 2 == 0);
+      Stopwatch watch;
+      if (run_direct) {
+        direct_out = direct();
+      } else {
+        builder_out = builder();
+      }
+      seconds[run_direct ? 0 : 1] = watch.ElapsedSeconds();
+    }
+    direct_s.push_back(seconds[0]);
+    builder_s.push_back(seconds[1]);
+    if (seconds[0] > 0.0) ratios.push_back(seconds[1] / seconds[0]);
+  }
+  row->identical = row->identical && ExactlyEqual(direct_out, builder_out);
+  row->direct_seconds = Median(direct_s);
+  row->builder_seconds = Median(builder_s);
+  if (!ratios.empty()) row->median_ratio = Median(ratios);
+}
 
 }  // namespace
 
@@ -108,8 +134,7 @@ int main(int argc, char** argv) {
 
   {  // exact_dp
     EngineRow row{"exact_dp"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
+    TimePairs(
         [&] {
           auto i = Ita(rel, spec);
           PTA_CHECK(i.ok());
@@ -117,8 +142,6 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(r->relation);
         },
-        &direct);
-    row.builder_seconds = BestOf(
         [&] {
           auto r = PtaQuery::Over(rel)
                        .Spec(spec)
@@ -128,15 +151,13 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(r->relation);
         },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
+        &row);
     rows.push_back(row);
   }
 
   {  // greedy
     EngineRow row{"greedy"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
+    TimePairs(
         [&] {
           auto stream = ItaStream::Create(rel, spec);
           PTA_CHECK(stream.ok());
@@ -144,8 +165,6 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(r->relation);
         },
-        &direct);
-    row.builder_seconds = BestOf(
         [&] {
           auto r = PtaQuery::Over(rel)
                        .Spec(spec)
@@ -155,15 +174,13 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(r->relation);
         },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
+        &row);
     rows.push_back(row);
   }
 
   {  // parallel
     EngineRow row{"parallel"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
+    TimePairs(
         [&] {
           auto stream = ItaStream::Create(rel, spec);
           PTA_CHECK(stream.ok());
@@ -179,8 +196,6 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(r->relation);
         },
-        &direct);
-    row.builder_seconds = BestOf(
         [&] {
           auto r = PtaQuery::Over(rel)
                        .Spec(spec)
@@ -191,15 +206,13 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(r->relation);
         },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
+        &row);
     rows.push_back(row);
   }
 
   {  // streaming (replay of the materialized ITA result, watermark off)
     EngineRow row{"streaming"};
-    SequentialRelation direct, built;
-    row.direct_seconds = BestOf(
+    TimePairs(
         [&] {
           StreamingOptions options;
           options.size_budget = c;
@@ -209,8 +222,6 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(*r);
         },
-        &direct);
-    row.builder_seconds = BestOf(
         [&] {
           auto sq = PtaQuery::Stream(ita->num_aggregates())
                         .Budget(Budget::Size(c))
@@ -221,8 +232,7 @@ int main(int argc, char** argv) {
           PTA_CHECK(r.ok());
           return std::move(*r);
         },
-        &built);
-    row.identical = ExactlyEqual(direct, built);
+        &row);
     rows.push_back(row);
   }
 

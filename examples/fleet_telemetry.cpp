@@ -75,10 +75,8 @@ int main() {
   auto displayable = result->relation.ToTemporalRelation(group_schema);
   if (!displayable.ok()) return 1;
   std::printf("\nfirst rows of the reduced relation:\n");
-  size_t shown = 0;
-  for (const Tuple& t : displayable->tuples()) {
-    if (++shown > 5) break;
-    std::printf("  %s\n", t.ToString().c_str());
+  for (size_t i = 0; i < displayable->size() && i < 5; ++i) {
+    std::printf("  %s\n", displayable->tuple(i).ToString().c_str());
   }
   return 0;
 }

@@ -9,7 +9,8 @@ TemporalRelation Coalesce(const TemporalRelation& rel) {
   // Bucket intervals by the full value vector, then merge sorted intervals
   // that overlap or meet.
   std::unordered_map<GroupKey, std::vector<Interval>, GroupKeyHasher> buckets;
-  for (const Tuple& t : rel.tuples()) {
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const Tuple t = rel.tuple(i);
     buckets[t.values()].push_back(t.interval());
   }
 
@@ -39,11 +40,11 @@ TemporalRelation Coalesce(const TemporalRelation& rel) {
       if (next.begin <= cur.end + 1) {
         cur.end = std::max(cur.end, next.end);
       } else {
-        out.InsertUnchecked(Tuple(*key, cur));
+        PTA_CHECK(out.Insert(*key, cur).ok());
         cur = next;
       }
     }
-    out.InsertUnchecked(Tuple(*key, cur));
+    PTA_CHECK(out.Insert(*key, cur).ok());
   }
   return out;
 }

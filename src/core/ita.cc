@@ -2,50 +2,160 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <limits>
-#include <map>
 #include <numeric>
 
 namespace pta {
 
 namespace {
 
-bool IsNan(const Value& v) {
-  return v.type() == ValueType::kDouble && std::isnan(v.AsDoubleExact());
+// Hash of one group-key cell, equal for cells that CompareCells calls equal:
+// -0.0 hashes as +0.0 and every NaN alike.
+uint64_t CellHash(const Column& column, size_t i) {
+  if (column.is_null(i)) return 0x2545f4914f6cdd1dULL;
+  switch (column.type()) {
+    case ValueType::kInt64:
+      return static_cast<uint64_t>(column.ints()[i]);
+    case ValueType::kDouble: {
+      double x = column.doubles()[i];
+      if (std::isnan(x)) return 0x7ff8000000000000ULL;
+      // pta-lint: allow(float-equality) -- folds -0.0 onto +0.0, exactly
+      if (x == 0.0) x = 0.0;
+      uint64_t bits;
+      std::memcpy(&bits, &x, sizeof(bits));
+      return bits;
+    }
+    case ValueType::kString:
+      return std::hash<std::string>{}(column.strings()[i]);
+    case ValueType::kNull:
+      break;
+  }
+  return 0;
+}
+
+// The murmur3 finalizer: spreads small integer keys over the table.
+uint64_t Mix(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  return x ^ (x >> 33);
 }
 
 // Dense group id of every row, numbered in GroupKeyLess order of the rows'
-// projections onto `attrs` (NaNs form one value, after every other double),
-// without building a key per row: the map holds each group's first row and
-// compares projections in place. Fills one key per id.
+// projections onto `attrs` (CompareCells: -0.0 equals +0.0, NaNs form one
+// value after every other double). Rows are hashed column by column into
+// an open-addressing table holding each group's first row; the distinct
+// groups are then ranked by comparing those rows. Fills one key per id,
+// taken from the group's first row.
 std::vector<uint32_t> DenseGroupIds(const TemporalRelation& rel,
                                     const std::vector<size_t>& attrs,
                                     std::vector<GroupKey>* keys) {
-  auto less = [&](size_t x, size_t y) {
-    for (size_t a : attrs) {
-      const Value& u = rel.tuple(x).value(a);
-      const Value& v = rel.tuple(y).value(a);
-      if (u < v) return true;
-      if (v < u) return false;
-      if (IsNan(u) != IsNan(v)) return IsNan(v);
-    }
-    return false;
-  };
-  std::map<size_t, uint32_t, decltype(less)> groups(less);
-  std::vector<uint32_t> ids(rel.size());
-  for (size_t i = 0; i < rel.size(); ++i) {
-    ids[i] = groups.try_emplace(i, static_cast<uint32_t>(groups.size()))
-                 .first->second;
+  const size_t n = rel.size();
+  std::vector<uint64_t> hash(n, 0);
+  for (size_t a : attrs) {
+    const Column& column = rel.column(a);
+    for (size_t i = 0; i < n; ++i) hash[i] = Mix(hash[i] ^ CellHash(column, i));
   }
-  std::vector<uint32_t> rank(groups.size());
+
+  struct Slot {
+    uint64_t hash;
+    uint32_t row;  // the group's first row; kEmpty for a free slot
+    uint32_t id;   // in order of first appearance
+  };
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  std::vector<Slot> table(16, Slot{0, kEmpty, 0});
+  std::vector<uint32_t> first_rows;  // by id
+  auto insert = [&table](const Slot& slot) -> Slot& {
+    const size_t mask = table.size() - 1;
+    size_t s = slot.hash & mask;
+    while (table[s].row != kEmpty) s = (s + 1) & mask;
+    return table[s] = slot;
+  };
+  std::vector<uint32_t> ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t mask = table.size() - 1;
+    size_t s = hash[i] & mask;
+    while (table[s].row != kEmpty &&
+           (table[s].hash != hash[i] ||
+            CompareRows(rel, attrs, table[s].row, i) != 0)) {
+      s = (s + 1) & mask;
+    }
+    if (table[s].row != kEmpty) {
+      ids[i] = table[s].id;
+      continue;
+    }
+    const auto id = static_cast<uint32_t>(first_rows.size());
+    table[s] = Slot{hash[i], static_cast<uint32_t>(i), id};
+    first_rows.push_back(static_cast<uint32_t>(i));
+    ids[i] = id;
+    if (first_rows.size() * 2 > table.size()) {
+      std::vector<Slot> old(table.size() * 2, Slot{0, kEmpty, 0});
+      old.swap(table);
+      for (const Slot& slot : old) {
+        if (slot.row != kEmpty) insert(slot);
+      }
+    }
+  }
+
+  std::vector<uint32_t> order(first_rows.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
+    return CompareRows(rel, attrs, first_rows[x], first_rows[y]) < 0;
+  });
+  std::vector<uint32_t> rank(order.size());
   keys->clear();
-  keys->reserve(groups.size());
-  for (const auto& [row, code] : groups) {
-    rank[code] = static_cast<uint32_t>(keys->size());
-    keys->push_back(rel.tuple(row).Project(attrs));
+  keys->reserve(order.size());
+  for (uint32_t id : order) {
+    rank[id] = static_cast<uint32_t>(keys->size());
+    GroupKey& key = keys->emplace_back();
+    key.reserve(attrs.size());
+    for (size_t a : attrs) key.push_back(rel.value(first_rows[id], a));
   }
   for (uint32_t& id : ids) id = rank[id];
   return ids;
+}
+
+// The first row ITA cannot aggregate, as a Status naming and rendering it:
+// an interval ending at the largest chronon, or a null or non-finite
+// aggregate input. The column scans find clean input fast; only input that
+// fails one pays the row-by-row pass.
+Status ValidateItaInput(const TemporalRelation& rel, const ItaSpec& spec,
+                        const std::vector<int>& attrs) {
+  constexpr Chronon kLast = std::numeric_limits<Chronon>::max();
+  bool clean = std::find(rel.te().begin(), rel.te().end(), kLast) ==
+               rel.te().end();
+  for (int attr : attrs) {
+    if (attr < 0) continue;
+    const Column& column = rel.column(static_cast<size_t>(attr));
+    clean = clean && !column.has_nulls() &&
+            std::all_of(column.doubles().begin(), column.doubles().end(),
+                        [](double x) { return std::isfinite(x); });
+  }
+  if (clean) return Status::Ok();
+
+  for (size_t i = 0; i < rel.size(); ++i) {
+    if (rel.te()[i] == kLast) {
+      return Status::InvalidArgument(
+          "row " + std::to_string(i) + " " + rel.tuple(i).ToString() +
+          ": interval end is the largest chronon, which ITA cannot close");
+    }
+    for (size_t d = 0; d < attrs.size(); ++d) {
+      if (attrs[d] < 0) continue;
+      const Column& column = rel.column(static_cast<size_t>(attrs[d]));
+      const bool null = column.is_null(i);
+      if (null || (column.type() == ValueType::kDouble &&
+                   !std::isfinite(column.doubles()[i]))) {
+        return Status::InvalidArgument(
+            "aggregate attribute " + spec.aggregates[d].attr + " is " +
+            (null ? "null" : "not finite") + " in row " + std::to_string(i) +
+            " " + rel.tuple(i).ToString());
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -78,25 +188,7 @@ Result<std::unique_ptr<ItaStream>> ItaStream::Create(
     }
     attrs.push_back(idx);
   }
-
-  for (size_t i = 0; i < rel.size(); ++i) {
-    const Tuple& tuple = rel.tuple(i);
-    if (tuple.interval().end == std::numeric_limits<Chronon>::max()) {
-      return Status::InvalidArgument(
-          "row " + std::to_string(i) + " " + tuple.ToString() +
-          ": interval end is the largest chronon, which ITA cannot close");
-    }
-    for (size_t d = 0; d < attrs.size(); ++d) {
-      if (attrs[d] < 0) continue;
-      const Value& v = tuple.value(static_cast<size_t>(attrs[d]));
-      if (v.is_null() || !std::isfinite(v.ToDouble())) {
-        return Status::InvalidArgument(
-            "aggregate attribute " + spec.aggregates[d].attr + " is " +
-            (v.is_null() ? "null" : "not finite") + " in row " +
-            std::to_string(i) + " " + tuple.ToString());
-      }
-    }
-  }
+  PTA_RETURN_IF_ERROR(ValidateItaInput(rel, spec, attrs));
 
   std::unique_ptr<ItaStream> s(
       new ItaStream(&rel, spec.aggregates, std::move(attrs)));
@@ -142,19 +234,33 @@ bool ItaStream::StartNextGroup() {
 
   const size_t begin = group_begin_[current_group_];
   const size_t size = group_begin_[current_group_ + 1] - begin;
+  const uint32_t* rows = rows_.data() + begin;
   const size_t p = attrs_.size();
+  const Chronon* tb = rel_->tb().data();
+  const Chronon* te = rel_->te().data();
   events_.clear();
   events_.reserve(size * 2);
-  inputs_.resize(size * p);
   for (size_t k = 0; k < size; ++k) {
-    const Tuple& tuple = rel_->tuple(rows_[begin + k]);
     const auto r = static_cast<uint32_t>(k);
-    events_.push_back({tuple.interval().begin, r, /*is_start=*/true});
-    events_.push_back({tuple.interval().end + 1, r, /*is_start=*/false});
-    for (size_t d = 0; d < p; ++d) {
-      inputs_[k * p + d] =
-          attrs_[d] < 0 ? 0.0
-                        : tuple.value(static_cast<size_t>(attrs_[d])).ToDouble();
+    events_.push_back({tb[rows[k]], r, /*is_start=*/true});
+    events_.push_back({te[rows[k]] + 1, r, /*is_start=*/false});
+  }
+  inputs_.resize(size * p);
+  for (size_t d = 0; d < p; ++d) {
+    double* in = inputs_.data() + d;
+    if (attrs_[d] < 0) {
+      for (size_t k = 0; k < size; ++k) in[k * p] = 0.0;
+      continue;
+    }
+    const Column& column = rel_->column(static_cast<size_t>(attrs_[d]));
+    if (column.type() == ValueType::kInt64) {
+      const int64_t* ints = column.ints().data();
+      for (size_t k = 0; k < size; ++k) {
+        in[k * p] = static_cast<double>(ints[rows[k]]);
+      }
+    } else {
+      const double* doubles = column.doubles().data();
+      for (size_t k = 0; k < size; ++k) in[k * p] = doubles[rows[k]];
     }
   }
   // End events sort before start events at the same instant so that an

@@ -34,11 +34,12 @@ struct ItaSpec {
 
 /// \brief Streaming ITA evaluation.
 ///
-/// Construction validates the spec and the input, and buckets the rows per
+/// Construction validates the spec and the input column by column, numbers
+/// the groups by hashing their typed key cells and buckets the rows per
 /// group; `Next()` then runs the per-group endpoint sweep lazily, reading
-/// each group's aggregate inputs into a flat array of doubles when its
-/// sweep starts and emitting each coalesced result tuple as soon as it is
-/// final. Groups are emitted in their deterministic sorted order,
+/// each group's `tb`/`te` and aggregate inputs from the relation's columns
+/// when its sweep starts and emitting each coalesced result tuple as soon
+/// as it is final. Groups are emitted in their deterministic sorted order,
 /// chronologically within each group, as the merging phase requires
 /// (Sec. 5.1).
 class ItaStream : public SegmentSource {

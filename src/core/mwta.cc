@@ -9,15 +9,14 @@ Result<TemporalRelation> ExtendTimestamps(const TemporalRelation& rel,
   if (window.preceding < 0 || window.following < 0) {
     return Status::InvalidArgument("window bounds must be non-negative");
   }
-  TemporalRelation extended(rel.schema());
-  extended.Reserve(rel.size());
-  for (const Tuple& t : rel.tuples()) {
-    // r holds in the window of t  <=>  r.tb - following <= t <= r.te +
-    // preceding, so the shadow tuple is valid on exactly those instants.
-    extended.InsertUnchecked(
-        Tuple(t.values(), Interval(t.interval().begin - window.following,
-                                   t.interval().end + window.preceding)));
-  }
+  // r holds in the window of t  <=>  r.tb - following <= t <= r.te +
+  // preceding, so the shadow tuple is valid on exactly those instants.
+  std::vector<Chronon> tb = rel.tb();
+  std::vector<Chronon> te = rel.te();
+  for (Chronon& b : tb) b -= window.following;
+  for (Chronon& e : te) e += window.preceding;
+  TemporalRelation extended = rel;
+  PTA_RETURN_IF_ERROR(extended.SetIntervals(std::move(tb), std::move(te)));
   return extended;
 }
 

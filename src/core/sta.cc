@@ -80,13 +80,12 @@ Result<TemporalRelation> Sta(const TemporalRelation& rel, const StaSpec& spec) {
       std::vector<std::vector<double>> per_agg(spec.aggregates.size());
       bool any = false;
       for (size_t idx : tuple_idxs) {
-        const Tuple& t = rel.tuple(idx);
-        if (!t.interval().Overlaps(span)) continue;
+        if (!rel.interval(idx).Overlaps(span)) continue;
         any = true;
         for (size_t d = 0; d < spec.aggregates.size(); ++d) {
           const int attr = agg_attr_indices[d];
           per_agg[d].push_back(attr < 0 ? 0.0
-                                        : t.value(attr).ToDouble());
+                                        : rel.value(idx, attr).ToDouble());
         }
       }
       if (!any) continue;
@@ -96,7 +95,7 @@ Result<TemporalRelation> Sta(const TemporalRelation& rel, const StaSpec& spec) {
         if (!v.ok()) return v.status();
         row.push_back(Value(*v));
       }
-      out.InsertUnchecked(Tuple(std::move(row), span));
+      PTA_RETURN_IF_ERROR(out.Insert(std::move(row), span));
     }
   }
   return out;

@@ -137,10 +137,8 @@ bool GroupKeyLess(const GroupKey& a, const GroupKey& b) {
 }
 
 uint64_t GroupKeyHash(const GroupKey& key) {
-  uint64_t h = 0x9e3779b97f4a7c15ULL;
-  for (const Value& v : key) {
-    h ^= v.Hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  }
+  uint64_t h = kGroupKeyHashSeed;
+  for (const Value& v : key) h = GroupKeyHashFold(h, v.Hash());
   return h;
 }
 

@@ -74,8 +74,13 @@ using GroupKey = std::vector<Value>;
 /// Lexicographic comparison of group keys.
 bool GroupKeyLess(const GroupKey& a, const GroupKey& b);
 
-/// Combined hash of a group key.
+/// Combined hash of a group key: GroupKeyHashFold over its values' hashes,
+/// starting from kGroupKeyHashSeed.
 uint64_t GroupKeyHash(const GroupKey& key);
+inline constexpr uint64_t kGroupKeyHashSeed = 0x9e3779b97f4a7c15ULL;
+inline uint64_t GroupKeyHashFold(uint64_t h, uint64_t value_hash) {
+  return h ^ (value_hash + kGroupKeyHashSeed + (h << 6) + (h >> 2));
+}
 
 /// Renders "(v1, v2, ...)".
 std::string GroupKeyToString(const GroupKey& key);

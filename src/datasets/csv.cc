@@ -133,19 +133,28 @@ Result<T> ParseNumber(std::string_view cell) {
   return v;
 }
 
-Result<Value> ParseValue(std::string_view cell, ValueType type) {
-  if (cell.empty()) return Value();  // null
-  auto number = [](auto parsed) -> Result<Value> {
-    if (!parsed.ok()) return parsed.status();
-    return Value(*parsed);
-  };
-  switch (type) {
-    case ValueType::kInt64:
-      return number(ParseNumber<int64_t>(cell));
-    case ValueType::kDouble:
-      return number(ParseNumber<double>(cell));
+// Parses one cell straight into its column; an empty cell is null.
+Status ParseCellInto(std::string_view cell, Column* column) {
+  if (cell.empty()) {
+    column->AppendNull();
+    return Status::Ok();
+  }
+  switch (column->type()) {
+    case ValueType::kInt64: {
+      auto v = ParseNumber<int64_t>(cell);
+      if (!v.ok()) return v.status();
+      column->AppendInt64(*v);
+      return Status::Ok();
+    }
+    case ValueType::kDouble: {
+      auto v = ParseNumber<double>(cell);
+      if (!v.ok()) return v.status();
+      column->AppendDouble(*v);
+      return Status::Ok();
+    }
     case ValueType::kString:
-      return Value(std::string(cell));
+      column->AppendString(std::string(cell));
+      return Status::Ok();
     case ValueType::kNull:
       return Status::InvalidArgument("cannot parse into null-typed column");
   }
@@ -163,20 +172,30 @@ std::string RelationToCsv(const TemporalRelation& rel) {
     out += ",";
   }
   out += "tb,te\n";
-  for (const Tuple& t : rel.tuples()) {
-    for (const Value& v : t.values()) {
-      if (v.type() == ValueType::kDouble) {
-        AppendNumber(&out, v.AsDoubleExact(), std::chars_format::general, 17);
-      } else if (v.type() == ValueType::kInt64) {
-        AppendNumber(&out, v.AsInt64());
-      } else if (!v.is_null()) {
-        AppendCell(v.AsString(), &out);
+  for (size_t i = 0; i < rel.size(); ++i) {
+    for (size_t a = 0; a < schema.num_attributes(); ++a) {
+      const Column& column = rel.column(a);
+      if (!column.is_null(i)) {
+        switch (column.type()) {
+          case ValueType::kInt64:
+            AppendNumber(&out, column.ints()[i]);
+            break;
+          case ValueType::kDouble:
+            AppendNumber(&out, column.doubles()[i], std::chars_format::general,
+                         17);
+            break;
+          case ValueType::kString:
+            AppendCell(column.strings()[i], &out);
+            break;
+          case ValueType::kNull:
+            break;
+        }
       }
       out += ',';
     }
-    AppendNumber(&out, t.interval().begin);
+    AppendNumber(&out, rel.tb()[i]);
     out += ',';
-    AppendNumber(&out, t.interval().end);
+    AppendNumber(&out, rel.te()[i]);
     out += '\n';
   }
   return out;
@@ -208,23 +227,27 @@ Result<TemporalRelation> RelationFromCsv(const std::string& text,
     return Status::InvalidArgument("CSV must end with tb,te columns");
   }
 
-  TemporalRelation rel(schema);
-  rel.Reserve(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')));
+  const size_t lines =
+      static_cast<size_t>(std::count(text.begin(), text.end(), '\n'));
+  std::vector<Column> columns;
+  columns.reserve(m);
+  for (const AttributeDef& attr : schema.attributes()) {
+    columns.emplace_back(attr.type).Reserve(lines);
+  }
+  std::vector<Chronon> tb, te;
+  tb.reserve(lines);
+  te.reserve(lines);
   while (scan.SkipBlankLines()) {
     const size_t line = scan.line();
     auto row_error = [line](const char* what) {
       return Status::InvalidArgument("CSV row " + std::to_string(line) + what);
     };
-    std::vector<Value> row;
-    row.reserve(m);
     int64_t ts[2] = {0, 0};
     size_t cells = 0;
     for (bool last = false; !last; ++cells) {
       PTA_RETURN_IF_ERROR(scan.NextCell(&cell, &last));
       if (cells < m) {
-        auto v = ParseValue(cell, schema.attribute(cells).type);
-        if (!v.ok()) return v.status();
-        row.push_back(std::move(*v));
+        PTA_RETURN_IF_ERROR(ParseCellInto(cell, &columns[cells]));
       } else if (cells < m + 2) {
         if (cell.empty()) return row_error(" has empty timestamp");
         auto t = ParseNumber<int64_t>(cell);
@@ -234,9 +257,11 @@ Result<TemporalRelation> RelationFromCsv(const std::string& text,
     }
     if (cells != m + 2) return row_error(" arity mismatch");
     if (ts[0] > ts[1]) return row_error(" has tb > te");
-    rel.InsertUnchecked(Tuple(std::move(row), Interval(ts[0], ts[1])));
+    tb.push_back(ts[0]);
+    te.push_back(ts[1]);
   }
-  return rel;
+  return TemporalRelation::FromColumns(schema, std::move(columns),
+                                       std::move(tb), std::move(te));
 }
 
 Status WriteCsvFile(const TemporalRelation& rel, const std::string& path) {

@@ -12,23 +12,30 @@ TemporalRelation GenerateSyntheticRelation(const SyntheticOptions& options) {
   for (size_t d = 0; d < options.num_dims; ++d) {
     attrs.push_back({"A" + std::to_string(d + 1), ValueType::kDouble});
   }
-  TemporalRelation rel{Schema(std::move(attrs))};
-  rel.Reserve(options.num_tuples);
+  std::vector<Column> columns;
+  for (const AttributeDef& attr : attrs) {
+    columns.emplace_back(attr.type).Reserve(options.num_tuples);
+  }
+  std::vector<Chronon> tb, te;
+  tb.reserve(options.num_tuples);
+  te.reserve(options.num_tuples);
 
   Random rng(options.seed);
   for (size_t i = 0; i < options.num_tuples; ++i) {
-    std::vector<Value> row;
-    row.reserve(options.num_dims + 1);
-    row.push_back(Value(rng.UniformInt(
-        0, static_cast<int64_t>(options.num_groups) - 1)));
+    columns[0].AppendInt64(
+        rng.UniformInt(0, static_cast<int64_t>(options.num_groups) - 1));
     for (size_t d = 0; d < options.num_dims; ++d) {
-      row.push_back(Value(rng.Uniform(0.0, 1000.0)));
+      columns[d + 1].AppendDouble(rng.Uniform(0.0, 1000.0));
     }
     const Chronon begin = rng.UniformInt(0, options.time_span - 1);
-    const Chronon end = begin + rng.UniformInt(0, options.max_duration - 1);
-    rel.InsertUnchecked(Tuple(std::move(row), Interval(begin, end)));
+    tb.push_back(begin);
+    te.push_back(begin + rng.UniformInt(0, options.max_duration - 1));
   }
-  return rel;
+  auto rel = TemporalRelation::FromColumns(Schema(std::move(attrs)),
+                                           std::move(columns), std::move(tb),
+                                           std::move(te));
+  PTA_CHECK(rel.ok());
+  return std::move(*rel);
 }
 
 SequentialRelation GenerateSyntheticSequential(size_t num_groups,

@@ -62,7 +62,8 @@ struct PtaIndexOptions {
   std::vector<double> weights;
   /// Future-work extension (Sec. 8): merge across temporal gaps.
   bool merge_across_gaps = false;
-  /// Build threads; 0 means all hardware threads. Never changes the
+  /// Build threads; 0 means all hardware threads, or the caller's thread
+  /// alone for inputs too small to gain from a pool. Never changes the
   /// result, only the wall clock.
   size_t num_threads = 0;
 };

@@ -66,11 +66,12 @@ Result<double> EstimateMaxError(const TemporalRelation& rel,
   if (q <= 0.0 || q > 1.0) {
     return Status::InvalidArgument("sample_fraction must be in (0, 1]");
   }
-  TemporalRelation sample(rel.schema());
   Random rng(options.sample_seed);
-  for (const Tuple& t : rel.tuples()) {
-    if (rng.Bernoulli(q)) sample.InsertUnchecked(t);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    if (rng.Bernoulli(q)) rows.push_back(i);
   }
+  const TemporalRelation sample = rel.Take(rows);
   if (sample.empty()) return 0.0;
   auto ita = Ita(sample, spec);
   if (!ita.ok()) return ita.status();

@@ -86,30 +86,50 @@ Result<TemporalRelation> SequentialRelation::ToTemporalRelation(
         value_names_.empty() ? "B" + std::to_string(d + 1) : value_names_[d];
     attrs.push_back({name, ValueType::kDouble});
   }
-  TemporalRelation out{Schema(std::move(attrs))};
-  out.Reserve(size());
-  for (size_t i = 0; i < size(); ++i) {
-    std::vector<Value> row;
-    row.reserve(group_schema.num_attributes() + p_);
-    if (!group_keys_.empty()) {
-      const size_t gid = static_cast<size_t>(groups_[i]);
-      if (gid >= group_keys_.size()) {
-        return Status::FailedPrecondition("group id without group key");
-      }
-      const GroupKey& key = group_keys_[gid];
-      if (key.size() != group_schema.num_attributes()) {
-        return Status::InvalidArgument(
-            "group schema arity does not match stored group keys");
-      }
-      for (const Value& v : key) row.push_back(v);
-    } else if (group_schema.num_attributes() != 0) {
+  // Checks each group key once, at its first row, in row order.
+  const size_t m = group_schema.num_attributes();
+  std::vector<uint8_t> checked(group_keys_.size(), 0);
+  for (int32_t g : groups_) {
+    if (group_keys_.empty()) {
+      if (m == 0) break;
       return Status::InvalidArgument(
           "relation has no group keys but group schema is non-empty");
     }
-    for (size_t d = 0; d < p_; ++d) row.push_back(Value(value(i, d)));
-    PTA_RETURN_IF_ERROR(out.Insert(std::move(row), intervals_[i]));
+    const auto gid = static_cast<size_t>(g);
+    if (gid >= group_keys_.size()) {
+      return Status::FailedPrecondition("group id without group key");
+    }
+    if (checked[gid] != 0) continue;
+    if (group_keys_[gid].size() != m) {
+      return Status::InvalidArgument(
+          "group schema arity does not match stored group keys");
+    }
+    PTA_RETURN_IF_ERROR(group_schema.ValidateRow(group_keys_[gid]));
+    checked[gid] = 1;
   }
-  return out;
+  std::vector<Column> columns;
+  columns.reserve(attrs.size());
+  for (const AttributeDef& attr : attrs) {
+    columns.emplace_back(attr.type).Reserve(size());
+  }
+  for (size_t a = 0; a < m; ++a) {
+    Column& column = columns[a];
+    for (int32_t g : groups_) {
+      column.AppendValue(group_keys_[static_cast<size_t>(g)][a]);
+    }
+  }
+  for (size_t d = 0; d < p_; ++d) {
+    Column& column = columns[m + d];
+    for (size_t i = 0; i < size(); ++i) column.AppendDouble(value(i, d));
+  }
+  std::vector<Chronon> tb(size()), te(size());
+  for (size_t i = 0; i < size(); ++i) {
+    tb[i] = intervals_[i].begin;
+    te[i] = intervals_[i].end;
+  }
+  return TemporalRelation::FromColumns(Schema(std::move(attrs)),
+                                       std::move(columns), std::move(tb),
+                                       std::move(te));
 }
 
 bool SequentialRelation::ApproxEquals(const SequentialRelation& other,

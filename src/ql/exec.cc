@@ -100,23 +100,26 @@ bool Compare(const T& lhs, CmpOp op, const T& rhs) {
 
 // SQL-ish null handling without three-valued logic: a comparison against a
 // null value is false, and NOT negates plainly.
-bool EvalExpr(const BoundExpr& expr, const Tuple& tuple) {
+bool EvalExpr(const BoundExpr& expr, const TemporalRelation& rel, size_t row) {
   switch (expr.kind) {
     case Expr::Kind::kAnd:
-      return EvalExpr(*expr.lhs, tuple) && EvalExpr(*expr.rhs, tuple);
+      return EvalExpr(*expr.lhs, rel, row) && EvalExpr(*expr.rhs, rel, row);
     case Expr::Kind::kOr:
-      return EvalExpr(*expr.lhs, tuple) || EvalExpr(*expr.rhs, tuple);
+      return EvalExpr(*expr.lhs, rel, row) || EvalExpr(*expr.rhs, rel, row);
     case Expr::Kind::kNot:
-      return !EvalExpr(*expr.lhs, tuple);
+      return !EvalExpr(*expr.lhs, rel, row);
     case Expr::Kind::kCmp:
       break;
   }
-  const Value& value = tuple.value(expr.attr_index);
-  if (value.is_null()) return false;
+  const Column& column = rel.column(expr.attr_index);
+  if (column.is_null(row)) return false;
   if (expr.string_compare) {
-    return Compare(value.AsString(), expr.op, expr.str_rhs);
+    return Compare(column.strings()[row], expr.op, expr.str_rhs);
   }
-  return Compare(value.ToDouble(), expr.op, expr.num_rhs);
+  const double value = column.type() == ValueType::kInt64
+                           ? static_cast<double>(column.ints()[row])
+                           : column.doubles()[row];
+  return Compare(value, expr.op, expr.num_rhs);
 }
 
 // Validates the select list and group-by against the schema and lowers them
@@ -321,20 +324,25 @@ Result<ExecResult> Execute(const Query& query, const Catalog& catalog,
 
   // WHERE selects tuples; WITH TIME keeps overlapping tuples clipped to
   // the window, so the aggregation only sees chronons inside it.
-  TemporalRelation filtered(schema);
+  TemporalRelation filtered;
   const TemporalRelation* input = base;
   if (predicate != nullptr || query.time.has_value()) {
-    for (const Tuple& tuple : base->tuples()) {
-      if (predicate != nullptr && !EvalExpr(*predicate, tuple)) continue;
+    std::vector<size_t> rows;
+    std::vector<Chronon> tb, te;
+    for (size_t i = 0; i < base->size(); ++i) {
+      if (predicate != nullptr && !EvalExpr(*predicate, *base, i)) continue;
+      Interval t = base->interval(i);
       if (query.time.has_value()) {
         const Interval window(query.time->begin, query.time->end);
-        if (!tuple.interval().Overlaps(window)) continue;
-        filtered.InsertUnchecked(
-            Tuple(tuple.values(), tuple.interval().Intersect(window)));
-      } else {
-        filtered.InsertUnchecked(tuple);
+        if (!t.Overlaps(window)) continue;
+        t = t.Intersect(window);
       }
+      rows.push_back(i);
+      tb.push_back(t.begin);
+      te.push_back(t.end);
     }
+    filtered = base->Take(rows);
+    PTA_RETURN_IF_ERROR(filtered.SetIntervals(std::move(tb), std::move(te)));
     input = &filtered;
   }
   out.stats.filtered_rows = input->size();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 namespace pta {
@@ -199,7 +200,11 @@ Status StreamingPtaEngine::IngestChunk(const SequentialRelation& chunk) {
     PTA_RETURN_IF_ERROR(
         IngestRow(chunk.group(i), chunk.interval(i), chunk.values(i)));
   }
-  if (options_.auto_watermark_lag >= 0 && max_begin_seen_ != kNoWatermark) {
+  // A target below the smallest chronon is no watermark at all: skip it
+  // rather than overflow computing it.
+  if (options_.auto_watermark_lag >= 0 && max_begin_seen_ != kNoWatermark &&
+      max_begin_seen_ >= std::numeric_limits<Chronon>::min() +
+                             options_.auto_watermark_lag) {
     const Chronon target = max_begin_seen_ - options_.auto_watermark_lag;
     if (watermark_ == kNoWatermark || target > watermark_) {
       PTA_RETURN_IF_ERROR(AdvanceWatermark(target));
@@ -215,7 +220,9 @@ void StreamingPtaEngine::SealSettledPrefix(Group& group, Chronon w) {
     // Settled: no future arrival (all begin >= w) can meet this row. With
     // gap merging any future same-group segment can fold into the chain
     // tail, so tails stay live there.
-    if (node.t.end + 1 >= w) break;
+    // end + 1 >= w, written so that end = INT64_MAX cannot overflow (and
+    // w > INT64_MIN: advancing to kNoWatermark never gets here).
+    if (node.t.end >= w - 1) break;
     if (options_.merge_across_gaps && node.next < 0) break;
 
     group.pending_t.push_back(node.t);

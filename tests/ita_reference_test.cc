@@ -4,6 +4,8 @@
 // neighbours. The sweep implementation must match it exactly on randomized
 // workloads across aggregate kinds, overlap densities and group counts.
 
+#include <cstring>
+#include <limits>
 #include <map>
 
 #include <gtest/gtest.h>
@@ -221,6 +223,144 @@ INSTANTIATE_TEST_SUITE_P(
         Workload{80, 2, 10, 8, 0.2, 6},
         // Larger mixed case.
         Workload{150, 4, 300, 25, 0.4, 7}));
+
+// ---- group numbering over typed key columns -----------------------------
+
+// Multi-attribute keys with nulls in every key column and signed zeros in
+// the double one: groups, their order and their sweeps match the
+// reference, which buckets full GroupKeys in a GroupKeyLess map.
+TEST(ItaGroupNumbering, NullableMultiAttributeKeysMatchReference) {
+  TemporalRelation rel{Schema({{"I", ValueType::kInt64},
+                               {"S", ValueType::kString},
+                               {"D", ValueType::kDouble},
+                               {"V", ValueType::kDouble}})};
+  Random rng(31);
+  const std::vector<Value> ints = {Value(), Value(-3), Value(0), Value(7)};
+  const std::vector<Value> strings = {Value(), Value(""), Value("a"),
+                                      Value("b,c")};
+  const std::vector<Value> doubles = {Value(), Value(-0.0), Value(0.0),
+                                      Value(-1.5), Value(2.5)};
+  auto pick = [&rng](const std::vector<Value>& from) {
+    return from[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(from.size()) - 1))];
+  };
+  for (int i = 0; i < 300; ++i) {
+    const Chronon b = rng.UniformInt(0, 120);
+    ASSERT_TRUE(rel.Insert({pick(ints), pick(strings), pick(doubles),
+                            Value(rng.Uniform(0.0, 50.0))},
+                           Interval(b, b + rng.UniformInt(0, 9)))
+                    .ok());
+  }
+  for (const ItaSpec& spec :
+       {ItaSpec{{"I", "S", "D"}, {Avg("V", "A"), Count("N")}},
+        ItaSpec{{"D", "I"}, {Sum("V", "S")}},
+        ItaSpec{{"S"}, {Min("V", "Lo")}}}) {
+    auto fast = Ita(rel, spec);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    const SequentialRelation ref = ReferenceIta(rel, spec);
+    ASSERT_EQ(fast->group_keys().size(), ref.group_keys().size());
+    for (size_t g = 0; g < ref.group_keys().size(); ++g) {
+      EXPECT_EQ(GroupKeyToString(fast->group_keys()[g]),
+                GroupKeyToString(ref.group_keys()[g]))
+          << g;
+    }
+    EXPECT_TRUE(fast->ApproxEquals(ref, 1e-7));
+    EXPECT_TRUE(fast->group_keys().front().front().is_null());  // nulls first
+  }
+}
+
+// -0.0 and +0.0 are one group, keyed by whichever the group's first row
+// holds.
+TEST(ItaGroupNumbering, SignedZerosFormOneGroupKeyedByTheFirstRow) {
+  for (const double first : {-0.0, 0.0}) {
+    TemporalRelation rel{Schema({{"D", ValueType::kDouble},
+                                 {"V", ValueType::kDouble}})};
+    ASSERT_TRUE(rel.Insert({Value(1.0), Value(5.0)}, Interval(0, 1)).ok());
+    ASSERT_TRUE(rel.Insert({Value(first), Value(1.0)}, Interval(0, 3)).ok());
+    ASSERT_TRUE(rel.Insert({Value(-first), Value(3.0)}, Interval(2, 5)).ok());
+    auto result = Ita(rel, {{"D"}, {Avg("V", "A")}});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_EQ(result->group_keys().size(), 2u);
+    const double key = result->group_keys()[0][0].AsDoubleExact();
+    EXPECT_EQ(std::signbit(key), std::signbit(first));
+    EXPECT_EQ(result->group_keys()[1][0].AsDoubleExact(), 1.0);
+    // Group 0 averages both zero rows where they overlap.
+    ASSERT_EQ(result->group(1), 0);
+    EXPECT_EQ(result->interval(1), Interval(2, 3));
+    EXPECT_EQ(result->value(1, 0), 2.0);
+  }
+}
+
+// Every NaN, whatever its sign or payload, joins one group ordered after
+// every other double (after +inf), behind the nulls at the front.
+TEST(ItaGroupNumbering, AllNansFormOneGroupAfterEveryOtherDouble) {
+  const double inf = std::numeric_limits<double>::infinity();
+  uint64_t bits = 0x7ff8000000000abcULL;
+  double payload_nan;
+  std::memcpy(&payload_nan, &bits, sizeof(payload_nan));
+  const double quiet = std::numeric_limits<double>::quiet_NaN();
+  TemporalRelation rel{Schema({{"D", ValueType::kDouble},
+                               {"V", ValueType::kDouble}})};
+  const std::vector<Value> keys = {Value(payload_nan), Value(2.0),
+                                   Value(-inf),        Value(quiet),
+                                   Value(),            Value(inf),
+                                   Value(-quiet)};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto t = static_cast<Chronon>(i);
+    ASSERT_TRUE(rel.Insert({keys[i], Value(1.0)}, Interval(t, t + 10)).ok());
+  }
+  auto result = Ita(rel, {{"D"}, {Count("N")}});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const std::vector<GroupKey>& groups = result->group_keys();
+  ASSERT_EQ(groups.size(), 5u);
+  EXPECT_TRUE(groups[0][0].is_null());
+  EXPECT_EQ(groups[1][0].AsDoubleExact(), -inf);
+  EXPECT_EQ(groups[2][0].AsDoubleExact(), 2.0);
+  EXPECT_EQ(groups[3][0].AsDoubleExact(), inf);
+  // The NaN group is keyed by its first row, payload and all.
+  const double nan_key = groups[4][0].AsDoubleExact();
+  EXPECT_EQ(std::memcmp(&nan_key, &payload_nan, sizeof(nan_key)), 0);
+  // Its three rows (begins 0, 3 and 6) overlap on [6, 10].
+  double peak = 0.0;
+  for (size_t i = 0; i < result->size(); ++i) {
+    if (result->group(i) == 4) peak = std::max(peak, result->value(i, 0));
+  }
+  EXPECT_EQ(peak, 3.0);
+}
+
+// A rejected input names the first offending row and renders it in full.
+TEST(ItaGroupNumbering, RejectedRowsAreNamedAndRendered) {
+  constexpr Chronon kMax = std::numeric_limits<Chronon>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  TemporalRelation rel{Schema({{"G", ValueType::kString},
+                               {"I", ValueType::kInt64},
+                               {"V", ValueType::kDouble}})};
+  ASSERT_TRUE(rel.Insert({Value("a"), Value(1), Value(0.5)},
+                         Interval(0, 4)).ok());
+  ASSERT_TRUE(rel.Insert({Value("b"), Value(), Value(-inf)},
+                         Interval(2, 3)).ok());
+  ASSERT_TRUE(rel.Insert({Value(), Value(3), Value(1.5)},
+                         Interval(kMax - 2, kMax)).ok());
+
+  auto null_input = Ita(rel, {{"G"}, {Sum("I", "S")}});
+  ASSERT_FALSE(null_input.ok());
+  EXPECT_EQ(null_input.status().message(),
+            "aggregate attribute I is null in row 1 (b, null, -inf) @ [2, 3]");
+  auto not_finite = Ita(rel, {{"G"}, {Count("N"), Avg("V", "A")}});
+  ASSERT_FALSE(not_finite.ok());
+  EXPECT_EQ(not_finite.status().message(),
+            "aggregate attribute V is not finite in row 1 (b, null, -inf) @ "
+            "[2, 3]");
+
+  // Row 2 ends at the largest chronon; rows 0 and 1 are clean for COUNT.
+  auto last_chronon = Ita(rel, {{"G"}, {Count("N")}});
+  ASSERT_FALSE(last_chronon.ok());
+  EXPECT_EQ(last_chronon.status().message(),
+            "row 2 (null, 3, 1.5) @ [9223372036854775805, "
+            "9223372036854775807]: interval end is the largest chronon, "
+            "which ITA cannot close");
+  EXPECT_EQ(last_chronon.status().code(), StatusCode::kInvalidArgument);
+}
 
 }  // namespace
 }  // namespace pta

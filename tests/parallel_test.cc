@@ -90,7 +90,9 @@ TEST(PartitionByGroupHashTest, ShardsPreserveTuplesAndGroups) {
   TemporalRelation merged(proj.schema());
   for (const TemporalRelation& shard : *shards) {
     total += shard.size();
-    for (const Tuple& t : shard.tuples()) merged.InsertUnchecked(t);
+    for (size_t i = 0; i < shard.size(); ++i) {
+      ASSERT_TRUE(merged.Insert(shard.tuple(i)).ok());
+    }
   }
   EXPECT_EQ(total, proj.size());
   EXPECT_TRUE(merged.SameTuples(proj));

@@ -409,6 +409,53 @@ TEST(StreamWatermarkTest, AutoWatermarkEmitsWithoutManualCalls) {
   EXPECT_TRUE(out->Validate().ok());
 }
 
+// Chronon extremes the engine admits must not overflow the watermark
+// arithmetic: a begin near INT64_MIN under an automatic lag, and an end at
+// INT64_MAX when a watermark arrives. Wrapped around, the first would
+// advance the watermark to near INT64_MAX and the second would seal a row
+// that has not ended.
+TEST(StreamWatermarkTest, ChrononExtremesDoNotOverflow) {
+  constexpr Chronon kMin = std::numeric_limits<Chronon>::min();
+  constexpr Chronon kMax = std::numeric_limits<Chronon>::max();
+  {
+    StreamingOptions options;
+    options.size_budget = 8;
+    options.auto_watermark_lag = 3;
+    StreamingPtaEngine engine(1, options);
+    SequentialRelation chunk(1);
+    const double v = 1.0;
+    chunk.Append(0, Interval(kMin + 1, kMin + 1), &v);
+    ASSERT_TRUE(engine.IngestChunk(chunk).ok());
+    EXPECT_EQ(engine.watermark(), StreamingPtaEngine::kNoWatermark);
+    // Later rows are still admitted, and the lag applies from there on.
+    SequentialRelation later(1);
+    later.Append(0, Interval(10, 12), &v);
+    ASSERT_TRUE(engine.IngestChunk(later).ok());
+    EXPECT_EQ(engine.watermark(), 7);
+    auto out = engine.Finalize();
+    ASSERT_TRUE(out.ok());
+    EXPECT_EQ(out->size(), 2u);
+  }
+  {
+    StreamingOptions options;
+    options.size_budget = 8;
+    StreamingPtaEngine engine(1, options);
+    Segment open{0, Interval(kMax - 4, kMax), {2.0}};
+    ASSERT_TRUE(engine.Ingest(open).ok());
+    ASSERT_TRUE(engine.AdvanceWatermark(20).ok());
+    EXPECT_TRUE(engine.TakeEmitted().empty());
+    EXPECT_EQ(engine.live_rows(), 1u);
+    // A watermark past every row but the last seals nothing either: the
+    // row ends at the largest chronon.
+    ASSERT_TRUE(engine.AdvanceWatermark(kMax).ok());
+    EXPECT_TRUE(engine.TakeEmitted().empty());
+    auto out = engine.Finalize();
+    ASSERT_TRUE(out.ok());
+    ASSERT_EQ(out->size(), 1u);
+    EXPECT_EQ(out->interval(0), Interval(kMax - 4, kMax));
+  }
+}
+
 // ----------------------------------------------------------- state machine
 
 TEST(StreamStateTest, RejectsMalformedIngestAndPreservesState) {
